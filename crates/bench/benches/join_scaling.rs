@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks of the optimizer's three scale escapes, at
 //! sizes small enough for the bench harness: hash join vs naive product,
 //! cached vs re-executed uncorrelated subqueries, and early-exit vs
-//! materializing `EXISTS`. The headline 50/500/5000-row numbers live in
-//! the `join_scaling` binary (`BENCH_join_scaling.json`).
+//! materializing `EXISTS`. Compile-checked in CI; the repo's
+//! performance baseline is `benchmark/`, not this file.
 
 use std::time::Duration;
 

@@ -34,7 +34,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use sqlsem_bench::arg;
+use sqlsem_bench::Args;
 use sqlsem_core::{Database, Dialect, Evaluator, LogicMode, Query, Schema, Value};
 use sqlsem_engine::Backend;
 use sqlsem_session::{Connection, SessionBuilder, SharedDatabase};
@@ -153,10 +153,12 @@ fn reader(
 }
 
 fn main() {
-    let writers: usize = arg("--writers", 4);
-    let readers: usize = arg("--readers", 4);
-    let rounds: usize = arg("--rounds", 24);
-    let backend: Backend = arg("--backend", Backend::Adaptive);
+    let mut args = Args::from_env();
+    let writers: usize = args.value("--writers", 4);
+    let readers: usize = args.value("--readers", 4);
+    let rounds: usize = args.value("--rounds", 24);
+    let backend: Backend = args.value("--backend", Backend::Adaptive);
+    args.finish();
 
     let schema = Schema::builder().table("R", ["A"]).table("S", ["A"]).build().unwrap();
     let queries: Vec<(String, Query)> = READ_QUERIES

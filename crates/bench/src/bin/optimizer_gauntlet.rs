@@ -30,9 +30,16 @@
 //! then sets the batch granularity and `--threads N` the morsel worker
 //! count (the nightly matrix sweeps batch sizes 1, 3 and 1024 and
 //! thread counts 1, 2 and 8 to fuzz chunk boundaries and scheduling).
+//!
+//! `--backend persistent` is not a fifth evaluator but a different
+//! *database*: every generated instance first goes through the durable
+//! store ([`persistent_database`]: written, fsynced, reopened, recovery
+//! asserted exact, every table indexed on its first column), and the
+//! optimized engine — now planning `IndexScan`/`IndexJoin` — and both
+//! oracles then read that same recovered database.
 
-use sqlsem_bench::arg;
-use sqlsem_core::{Dialect, Evaluator, LogicMode, Query, Schema};
+use sqlsem_bench::{persistent_database, Args};
+use sqlsem_core::{Database, Dialect, Evaluator, LogicMode, Query, Schema};
 use sqlsem_engine::{Backend, Engine};
 use sqlsem_generator::paper_schema;
 use sqlsem_session::Session;
@@ -67,7 +74,7 @@ fn pitfall_cases() -> (Schema, Vec<Query>) {
 
 /// The pitfall database is created through the session's own DDL/DML —
 /// the zero-Rust-builder path the `Session` API exists for.
-fn pitfall_db(schema: &Schema) -> sqlsem_core::Database {
+fn pitfall_db(schema: &Schema) -> Database {
     let mut session = Session::builder().with_schema(Schema::default()).build();
     session
         .run_script(
@@ -105,19 +112,28 @@ fn dump_disagreement(dir: &str, index: usize, sql: &str, detail: &str, session: 
 }
 
 fn main() {
-    let queries: usize = arg("--queries", 2_000);
-    let seed: u64 = arg("--seed", 1);
-    let rows: usize = arg("--rows", 8);
-    let backend: Backend = arg("--backend", Backend::OptimizedEngine);
-    let batch_size: usize = arg("--batch-size", 0);
+    let mut args = Args::from_env();
+    let queries: usize = args.value("--queries", 2_000);
+    let seed: u64 = args.value("--seed", 1);
+    let rows: usize = args.value("--rows", 8);
+    let candidate: String = args.value("--backend", Backend::OptimizedEngine.to_string());
+    let batch_size: usize = args.value("--batch-size", 0);
     let batch_size = (batch_size > 0).then_some(batch_size);
-    let threads: usize = arg("--threads", 0);
+    let threads: usize = args.value("--threads", 0);
     let threads = (threads > 0).then_some(threads);
-    let dump_dir: String = arg("--dump", String::new());
+    let dump_dir: String = args.value("--dump", String::new());
     // `--gen outer-join-heavy` switches the random sweep to the
     // outer-join-heavy generator preset (the nightly matrix runs it);
     // the default keeps the small TPC-H-calibrated shapes of `quick`.
-    let gen_preset: String = arg("--gen", String::new());
+    let gen_preset: String = args.value("--gen", String::new());
+    let persistent = candidate == "persistent";
+    let backend: Backend = if persistent {
+        Backend::OptimizedEngine
+    } else {
+        candidate.parse().unwrap_or_else(|e| args.reject(&format!("{e}, persistent")))
+    };
+    args.finish();
+    let stored = |db: Database| if persistent { persistent_database(&db) } else { db };
 
     let combos: Vec<(Dialect, LogicMode)> = Dialect::ALL
         .into_iter()
@@ -172,7 +188,7 @@ fn main() {
 
     let (pitfall_schema, pitfalls) = pitfall_cases();
     let mut pit_session =
-        candidate_session(pitfall_db(&pitfall_schema), backend, batch_size, threads);
+        candidate_session(stored(pitfall_db(&pitfall_schema)), backend, batch_size, threads);
     for tally in tallies.iter_mut() {
         for query in &pitfalls {
             check(tally, query, &mut pit_session);
@@ -195,7 +211,7 @@ fn main() {
     let start = std::time::Instant::now();
     for i in 0..queries {
         let (query, db) = iteration_case(&schema, &config, i);
-        let mut session = candidate_session(db, backend, batch_size, threads);
+        let mut session = candidate_session(stored(db), backend, batch_size, threads);
         for tally in tallies.iter_mut() {
             check(tally, &query, &mut session);
         }
@@ -205,7 +221,7 @@ fn main() {
     let thread_note = threads.map(|n| format!(", threads {n}")).unwrap_or_default();
     println!(
         "optimizer gauntlet: {} pitfall + {queries} random queries per combination \
-         (candidate backend {backend}{batch_note}{thread_note} via Session, seed {seed}, row cap {rows}) \
+         (candidate backend {candidate}{batch_note}{thread_note} via Session, seed {seed}, row cap {rows}) \
          in {:.2?}\n",
         pitfalls.len(),
         start.elapsed()

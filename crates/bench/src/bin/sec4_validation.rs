@@ -15,23 +15,25 @@
 //!
 //! Defaults are scaled down (2,000 queries, 8-row tables) so the binary
 //! finishes in seconds; pass `--paper` for the paper's row cap, and
-//! `--backend spec|naive|optimized|vectorized` to choose the candidate
-//! the spec is compared against (`--batch-size N` sets the vectorized
-//! candidate's batch granularity).
+//! `--backend spec|naive|optimized|vectorized|adaptive` to choose the
+//! candidate the spec is compared against (`--batch-size N` sets the
+//! vectorized candidate's batch granularity).
 
-use sqlsem_bench::{arg, flag};
+use sqlsem_bench::Args;
 use sqlsem_core::Dialect;
 use sqlsem_engine::Backend;
 use sqlsem_generator::{paper_schema, DataGenConfig, QueryGenConfig};
 use sqlsem_validation::{run_validation, ValidationConfig};
 
 fn main() {
-    let queries: usize = arg("--queries", 2_000);
-    let seed: u64 = arg("--seed", 1);
-    let paper_rows = flag("--paper");
-    let rows: usize = arg("--rows", if paper_rows { 50 } else { 8 });
-    let backend: Backend = arg("--backend", Backend::OptimizedEngine);
-    let batch_size: usize = arg("--batch-size", 0);
+    let mut args = Args::from_env();
+    let queries: usize = args.value("--queries", 2_000);
+    let seed: u64 = args.value("--seed", 1);
+    let paper_rows = args.flag("--paper");
+    let rows: usize = args.value("--rows", if paper_rows { 50 } else { 8 });
+    let backend: Backend = args.value("--backend", Backend::OptimizedEngine);
+    let batch_size: usize = args.value("--batch-size", 0);
+    args.finish();
 
     let schema = paper_schema();
     let config = ValidationConfig::default()

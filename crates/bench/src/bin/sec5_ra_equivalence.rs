@@ -19,16 +19,18 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sqlsem_algebra::{eliminate, translate, RaEvaluator};
-use sqlsem_bench::arg;
+use sqlsem_bench::Args;
 use sqlsem_core::Evaluator;
 use sqlsem_generator::{
     paper_schema, random_database, DataGenConfig, QueryGenConfig, QueryGenerator,
 };
 
 fn main() {
-    let queries: usize = arg("--queries", 500);
-    let seed: u64 = arg("--seed", 5);
-    let rows: usize = arg("--rows", 6);
+    let mut args = Args::from_env();
+    let queries: usize = args.value("--queries", 500);
+    let seed: u64 = args.value("--seed", 5);
+    let rows: usize = args.value("--rows", 6);
+    args.finish();
 
     let schema = paper_schema();
     let gen = QueryGenerator::new(&schema, QueryGenConfig::data_manipulation());

@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sqlsem_bench::arg;
+use sqlsem_bench::Args;
 use sqlsem_core::Evaluator;
 use sqlsem_generator::{
     paper_schema, random_database, DataGenConfig, QueryGenConfig, QueryGenerator,
@@ -21,9 +21,11 @@ use sqlsem_generator::{
 use sqlsem_twovl::{blow_up, to_three_valued, to_two_valued, EqInterpretation};
 
 fn main() {
-    let queries: usize = arg("--queries", 500);
-    let seed: u64 = arg("--seed", 6);
-    let rows: usize = arg("--rows", 6);
+    let mut args = Args::from_env();
+    let queries: usize = args.value("--queries", 500);
+    let seed: u64 = args.value("--seed", 6);
+    let rows: usize = args.value("--rows", 6);
+    args.finish();
 
     let schema = paper_schema();
     let gen = QueryGenerator::new(&schema, QueryGenConfig::small());

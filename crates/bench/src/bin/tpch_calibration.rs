@@ -1,74 +1,12 @@
 //! Regenerates the §4 generator-calibration table: TPC-H query shape
-//! statistics and the four parameters derived from them — then times a
-//! batch of TPC-H-calibrated random queries through each of the five
-//! backends (spec interpreter, naive engine, optimized engine,
-//! vectorized engine, adaptive dispatcher), with an agreement gate
-//! before the timings. The per-backend table is the recorded basis for
-//! [`sqlsem_engine::ADAPTIVE_ROW_CUTOFF`]: at the small row caps used
-//! here the row engine wins per query, which is why the adaptive
-//! dispatcher routes sub-threshold inputs to it.
-//!
-//! The row cap defaults to 8 (the scaled-down default the other
-//! experiment binaries use): the spec interpreter materializes full
-//! cross products, so TPC-H-calibrated six-table shapes over 50-row
-//! tables are out of its reach — the engines handle them fine.
+//! statistics and the four parameters derived from them.
 //!
 //! ```text
-//! cargo run --release -p sqlsem-bench --bin tpch_calibration -- --queries 50 --rows 8
+//! cargo run --release -p sqlsem-bench --bin tpch_calibration
 //! ```
 
-use std::time::Instant;
-
-use sqlsem_bench::arg;
-use sqlsem_core::{Dialect, LogicMode, PredicateRegistry};
-use sqlsem_engine::Backend;
-use sqlsem_generator::paper_schema;
-use sqlsem_validation::{compare, iteration_case, ValidationConfig, Verdict};
-
 fn main() {
+    // Takes no flags: a stray argument must fail, not be ignored.
+    sqlsem_bench::Args::from_env().finish();
     print!("{}", sqlsem_generator::tpch::calibration_report());
-
-    let queries: usize = arg("--queries", 50);
-    let rows: usize = arg("--rows", 8);
-
-    // TPC-H-calibrated query/database pairs (the paper's §4 setup).
-    let schema = paper_schema();
-    let mut config = ValidationConfig::paper(queries, 0x7C41);
-    config.data_config.max_rows = rows;
-    let cases: Vec<_> = (0..queries).map(|i| iteration_case(&schema, &config, i)).collect();
-    let preds = PredicateRegistry::new();
-
-    // Agreement gate: all five backends must coincide on every case
-    // before their timings mean anything.
-    let outcome = |backend: Backend, case: &(sqlsem_core::Query, sqlsem_core::Database)| {
-        backend.execute(&case.1, Dialect::PostgreSql, LogicMode::ThreeValued, &preds, &case.0)
-    };
-    for case in &cases {
-        let reference = outcome(Backend::SpecInterpreter, case);
-        for backend in Backend::ALL {
-            let candidate = outcome(backend, case);
-            if let Verdict::Disagree(detail) = compare(&reference, &candidate) {
-                eprintln!("backend {backend} disagrees with the spec: {detail}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    println!("per-backend timings: {queries} TPC-H-calibrated queries, row cap {rows}\n");
-    println!("{:>14} {:>12} {:>14}", "backend", "total_ms", "per_query_ms");
-    for backend in Backend::ALL {
-        let start = Instant::now();
-        for case in &cases {
-            let _ = outcome(backend, case);
-        }
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        println!("{:>14} {:>12.2} {:>14.3}", backend.to_string(), ms, ms / queries as f64);
-    }
-    println!(
-        "\nadaptive dispatch: scans of < {} rows run on the row engine, larger \
-         ones on the vectorized engine (see the optimized-vs-vectorized \
-         per-query gap above for the small-input basis; BENCH_join_scaling.json \
-         records the large-input crossover)",
-        sqlsem_engine::ADAPTIVE_ROW_CUTOFF
-    );
 }

@@ -1,45 +1,18 @@
-//! One execution interface over the workspace's five evaluators.
+//! The one name for "who evaluates a query".
 //!
 //! The paper's whole point is that a single formal semantics stands
-//! behind many consumers; this module is the code-level rendering of
-//! that idea. The five ways the workspace can run a query — the
+//! behind many consumers. The workspace has five evaluators — the
 //! denotational spec interpreter ([`sqlsem_core::Evaluator`]), the
 //! engine with its optimizer disabled, the engine with it enabled, the
 //! engine driving its plans through the columnar batch executor, and
 //! the adaptive dispatcher choosing between the last two per query —
-//! are unified behind the [`QueryBackend`] trait and selected by the
-//! [`Backend`] enum, so that the `Session` API, the §4 harness and the
-//! optimizer gauntlet can all swap evaluation strategies without
-//! touching any other code.
+//! and the [`Backend`] enum names them, so the `Session` API, the §4
+//! harness and the optimizer gauntlet select an evaluation strategy by
+//! value. The mapping from a `Backend` to a configured evaluator lives
+//! in one place, `sqlsem-session`'s `Connection`.
 
 use std::fmt;
 use std::str::FromStr;
-
-use sqlsem_core::{
-    Database, Dialect, EvalError, Evaluator, LogicMode, PredicateRegistry, Query, Table,
-};
-
-use crate::Engine;
-
-/// Anything that can execute an annotated query against a database: the
-/// uniform `execute` the four evaluators hide behind.
-pub trait QueryBackend {
-    /// Executes a closed annotated query, producing a bag of rows or
-    /// the evaluation error the §4 criterion compares on.
-    fn execute(&self, query: &Query) -> Result<Table, EvalError>;
-}
-
-impl QueryBackend for Evaluator<'_> {
-    fn execute(&self, query: &Query) -> Result<Table, EvalError> {
-        self.eval(query)
-    }
-}
-
-impl QueryBackend for Engine<'_> {
-    fn execute(&self, query: &Query) -> Result<Table, EvalError> {
-        Engine::execute(self, query)
-    }
-}
 
 /// Which evaluation strategy a session (or harness) runs queries with.
 ///
@@ -75,16 +48,6 @@ pub enum Backend {
     /// vectorized executor, by estimated input size (the default).
     #[default]
     Adaptive,
-    /// The optimized engine over a database that has made a full round
-    /// trip through the durable storage subsystem: the input database is
-    /// persisted into a throwaway on-disk store (WAL + checkpoint),
-    /// recovered by reopening it, given a single-column secondary index
-    /// on the first column of every table, and only then queried — so
-    /// the gauntlet exercises recovery fidelity *and* the
-    /// [`crate::plan::Plan::IndexScan`]/index-join rewrites at once.
-    /// Deliberately not in [`Backend::ALL`]: it touches the filesystem,
-    /// so sweeps opt in explicitly (`--backend persistent`).
-    Persistent,
 }
 
 impl Backend {
@@ -96,137 +59,6 @@ impl Backend {
         Backend::VectorizedEngine,
         Backend::Adaptive,
     ];
-
-    /// An executor for this backend over `db`, configured with the given
-    /// dialect, logic mode and predicate registry.
-    pub fn executor<'a>(
-        self,
-        db: &'a Database,
-        dialect: Dialect,
-        logic: LogicMode,
-        preds: &PredicateRegistry,
-    ) -> Box<dyn QueryBackend + 'a> {
-        match self {
-            Backend::SpecInterpreter => Box::new(
-                Evaluator::new(db)
-                    .with_dialect(dialect)
-                    .with_logic(logic)
-                    .with_predicates(preds.clone()),
-            ),
-            Backend::NaiveEngine => Box::new(
-                Engine::new(db)
-                    .with_dialect(dialect)
-                    .with_logic(logic)
-                    .with_predicates(preds.clone())
-                    .with_optimizations(false),
-            ),
-            Backend::OptimizedEngine => Box::new(
-                Engine::new(db)
-                    .with_dialect(dialect)
-                    .with_logic(logic)
-                    .with_predicates(preds.clone()),
-            ),
-            Backend::VectorizedEngine => Box::new(
-                Engine::new(db)
-                    .with_dialect(dialect)
-                    .with_logic(logic)
-                    .with_predicates(preds.clone())
-                    .with_vectorized(true),
-            ),
-            Backend::Adaptive => Box::new(
-                Engine::new(db)
-                    .with_dialect(dialect)
-                    .with_logic(logic)
-                    .with_predicates(preds.clone())
-                    .with_adaptive(true),
-            ),
-            Backend::Persistent => {
-                Box::new(PersistentBackend::new(db, dialect, logic, preds.clone()))
-            }
-        }
-    }
-
-    /// One-shot convenience: builds the executor and runs `query`.
-    pub fn execute(
-        self,
-        db: &Database,
-        dialect: Dialect,
-        logic: LogicMode,
-        preds: &PredicateRegistry,
-        query: &Query,
-    ) -> Result<Table, EvalError> {
-        self.executor(db, dialect, logic, preds).execute(query)
-    }
-}
-
-/// The [`Backend::Persistent`] executor: owns the database recovered
-/// from a throwaway on-disk store (written, fsynced, reopened and then
-/// deleted in [`PersistentBackend::new`]) and runs the optimized engine
-/// over it. Every table gets a secondary index on its first column, so
-/// generated point/range predicates actually take the index paths.
-///
-/// Storage failures here are infrastructure faults, not semantics
-/// results the §4 criterion could compare on, so they panic loudly
-/// instead of masquerading as evaluation errors.
-struct PersistentBackend {
-    db: Database,
-    dialect: Dialect,
-    logic: LogicMode,
-    preds: PredicateRegistry,
-}
-
-impl PersistentBackend {
-    fn new(db: &Database, dialect: Dialect, logic: LogicMode, preds: PredicateRegistry) -> Self {
-        PersistentBackend { db: persistent_database(db), dialect, logic, preds }
-    }
-}
-
-/// Pushes `db` through the durable storage engine and back: writes it
-/// to a throwaway on-disk store (checkpoint + fsync), reopens the store
-/// to recover it, asserts the recovery is **exact**, deletes the store,
-/// and finally gives every table a secondary index on its first column
-/// so generated point/range predicates actually take the index paths.
-///
-/// This is the database [`Backend::Persistent`] executes over; the
-/// validation harness also calls it directly so its `Session`-driven
-/// sweeps exercise the same storage round trip per generated database.
-/// Storage failures panic — they are infrastructure faults, not
-/// semantics results the §4 criterion could compare on.
-pub fn persistent_database(db: &Database) -> Database {
-    let dir = sqlsem_storage::fresh_temp_dir("backend");
-    let round_trip = (|| -> Result<Database, sqlsem_storage::StorageError> {
-        let (mut storage, _) = sqlsem_storage::Storage::open(&dir)?;
-        storage.save_all(db)?;
-        drop(storage);
-        let (_, recovered) = sqlsem_storage::Storage::open(&dir)?;
-        Ok(recovered)
-    })();
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut recovered = round_trip.expect("persistent backend: storage round trip");
-    assert_eq!(&recovered, db, "persistent backend: recovery must be exact");
-    let firsts: Vec<(String, String)> = recovered
-        .schema()
-        .iter()
-        .filter_map(|(t, attrs)| Some((t.to_string(), attrs.first()?.to_string())))
-        .collect();
-    for (i, (table, col)) in firsts.into_iter().enumerate() {
-        // Index names must be distinct; column names may repeat
-        // across tables, so the position disambiguates.
-        recovered
-            .create_index(format!("gauntlet_{i}_{col}_idx"), table.as_str(), [col.as_str()])
-            .expect("persistent backend: index creation");
-    }
-    recovered
-}
-
-impl QueryBackend for PersistentBackend {
-    fn execute(&self, query: &Query) -> Result<Table, EvalError> {
-        Engine::new(&self.db)
-            .with_dialect(self.dialect)
-            .with_logic(self.logic)
-            .with_predicates(self.preds.clone())
-            .execute(query)
-    }
 }
 
 impl fmt::Display for Backend {
@@ -237,7 +69,6 @@ impl fmt::Display for Backend {
             Backend::OptimizedEngine => "optimized",
             Backend::VectorizedEngine => "vectorized",
             Backend::Adaptive => "adaptive",
-            Backend::Persistent => "persistent",
         })
     }
 }
@@ -254,10 +85,9 @@ impl FromStr for Backend {
             "optimized" | "optimized-engine" | "engine" => Ok(Backend::OptimizedEngine),
             "vectorized" | "vectorized-engine" | "vec" => Ok(Backend::VectorizedEngine),
             "adaptive" | "auto" => Ok(Backend::Adaptive),
-            "persistent" | "storage" | "durable" => Ok(Backend::Persistent),
             other => Err(format!(
-                "unknown backend {other:?}: expected spec, naive, optimized, \
-                 vectorized, adaptive or persistent"
+                "unknown backend {other:?}: expected one of {}",
+                Backend::ALL.map(|b| b.to_string()).join(", ")
             )),
         }
     }
@@ -266,32 +96,6 @@ impl FromStr for Backend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlsem_core::{table, Schema, Value};
-
-    fn example1() -> (Schema, Database) {
-        let schema = Schema::builder().table("R", ["A"]).table("S", ["A"]).build().unwrap();
-        let mut db = Database::new(schema.clone());
-        db.replace_table("R", table! { ["A"]; [1], [Value::Null] }).unwrap();
-        db.replace_table("S", table! { ["A"]; [Value::Null] }).unwrap();
-        (schema, db)
-    }
-
-    #[test]
-    fn all_backends_agree_on_example1() {
-        let (schema, db) = example1();
-        let q = sqlsem_parser::compile(
-            "SELECT DISTINCT R.A FROM R WHERE R.A NOT IN (SELECT S.A FROM S)",
-            &schema,
-        )
-        .unwrap();
-        let preds = PredicateRegistry::new();
-        for backend in Backend::ALL {
-            let out = backend
-                .execute(&db, Dialect::Standard, LogicMode::ThreeValued, &preds, &q)
-                .unwrap();
-            assert!(out.is_empty(), "{backend}: {out}");
-        }
-    }
 
     #[test]
     fn backend_parses_and_displays() {
@@ -302,39 +106,36 @@ mod tests {
         assert_eq!("vec".parse::<Backend>().unwrap(), Backend::VectorizedEngine);
         assert_eq!("adaptive".parse::<Backend>().unwrap(), Backend::Adaptive);
         assert_eq!("auto".parse::<Backend>().unwrap(), Backend::Adaptive);
-        assert_eq!("persistent".parse::<Backend>().unwrap(), Backend::Persistent);
-        assert_eq!("durable".parse::<Backend>().unwrap(), Backend::Persistent);
         assert!("postgres".parse::<Backend>().is_err());
-        for b in Backend::ALL.into_iter().chain([Backend::Persistent]) {
+        for b in Backend::ALL {
             assert_eq!(b.to_string().parse::<Backend>().unwrap(), b);
         }
-        // Filesystem-touching, so opt-in only — never part of the sweep.
-        assert!(!Backend::ALL.contains(&Backend::Persistent));
         assert_eq!(Backend::default(), Backend::Adaptive);
     }
 
     #[test]
-    fn persistent_backend_round_trips_and_uses_indexes() {
-        let (schema, db) = example1();
-        let preds = PredicateRegistry::new();
-        let q = sqlsem_parser::compile(
-            "SELECT DISTINCT R.A FROM R WHERE R.A NOT IN (SELECT S.A FROM S)",
-            &schema,
-        )
-        .unwrap();
-        let out = Backend::Persistent
-            .execute(&db, Dialect::Standard, LogicMode::ThreeValued, &preds, &q)
-            .unwrap();
-        assert!(out.is_empty(), "{out}");
-        // A point predicate on an indexed first column agrees with the
-        // spec interpreter bit for bit.
-        let q = sqlsem_parser::compile("SELECT R.A FROM R WHERE R.A = 1", &schema).unwrap();
-        let spec = Backend::SpecInterpreter
-            .execute(&db, Dialect::Standard, LogicMode::ThreeValued, &preds, &q)
-            .unwrap();
-        let persistent = Backend::Persistent
-            .execute(&db, Dialect::Standard, LogicMode::ThreeValued, &preds, &q)
-            .unwrap();
-        assert_eq!(spec, persistent);
+    fn storage_is_not_a_backend() {
+        // "The database went through the disk" is a property of the
+        // database argument, not an evaluator.
+        for spelling in ["persistent", "storage", "durable"] {
+            let err = spelling.parse::<Backend>().unwrap_err();
+            assert!(err.ends_with("spec, naive, optimized, vectorized, adaptive"), "{err}");
+        }
+    }
+
+    #[test]
+    fn all_lists_every_variant() {
+        // No wildcard arm: a new variant fails to compile here — list
+        // it in `Backend::ALL` at the position it is given.
+        for (i, b) in Backend::ALL.into_iter().enumerate() {
+            let position = match b {
+                Backend::SpecInterpreter => 0,
+                Backend::NaiveEngine => 1,
+                Backend::OptimizedEngine => 2,
+                Backend::VectorizedEngine => 3,
+                Backend::Adaptive => 4,
+            };
+            assert_eq!(position, i);
+        }
     }
 }

@@ -56,7 +56,7 @@ pub mod vexec;
 
 use sqlsem_core::{Database, Dialect, EvalError, LogicMode, PredicateRegistry, Query, Table};
 
-pub use backend::{persistent_database, Backend, QueryBackend};
+pub use backend::Backend;
 pub use batch::{Batch, Column, TruthVec, DEFAULT_BATCH_SIZE};
 pub use compile::compile as compile_plan;
 pub use exec::Executor;
@@ -67,9 +67,9 @@ pub use vexec::VecExecutor;
 
 /// The adaptive dispatcher's row-count cutover: plans whose largest
 /// referenced base table holds fewer rows than this run on the row
-/// engine (batch setup overhead dominates small inputs — see
-/// `tpch_calibration`, which records the per-backend basis for this
-/// number); everything at or above it runs vectorized.
+/// engine (batch setup overhead dominates small inputs — the
+/// per-backend timings behind the number are recorded in
+/// `EXPERIMENTS.md`); everything at or above it runs vectorized.
 pub const ADAPTIVE_ROW_CUTOFF: usize = 256;
 
 /// The engine facade: a database plus dialect/logic configuration,

@@ -386,11 +386,13 @@ fn run_meta(
             }
             Err(e) => e.to_string(),
         },
-        _ => "meta commands: \\d (schema)  \\stats  \
-              \\dialect <standard|postgresql|oracle>  \
-              \\logic <3vl|2vl|2vl-syntactic-eq>  \
-              \\backend <spec|naive|optimized|vectorized|adaptive>  \\q (disconnect)"
-            .to_string(),
+        _ => format!(
+            "meta commands: \\d (schema)  \\stats  \
+             \\dialect <standard|postgresql|oracle>  \
+             \\logic <3vl|2vl|2vl-syntactic-eq>  \
+             \\backend <{}>  \\q (disconnect)",
+            Backend::ALL.map(|b| b.to_string()).join("|")
+        ),
     };
     Some(reply)
 }
@@ -540,6 +542,26 @@ mod tests {
         // Another client still sees the server defaults.
         let other = Client::connect(server.local_addr()).unwrap();
         assert!(other.greeting().contains("dialect standard"), "{}", other.greeting());
+        server.shutdown();
+    }
+
+    #[test]
+    fn storage_is_not_a_backend_over_the_wire() {
+        let server = bind_local();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        client.send("CREATE TABLE R (A)").unwrap();
+        assert_eq!(client.send("\\backend vectorized").unwrap(), "backend: vectorized");
+        let err = client.send("\\backend persistent").unwrap();
+        assert!(err.starts_with("unknown backend \"persistent\""), "{err}");
+        // The error and the help line list the same spellings: `Backend::ALL`.
+        let help = client.send("\\help").unwrap();
+        for b in Backend::ALL {
+            assert!(err.contains(&b.to_string()), "{err}");
+            assert!(help.contains(&b.to_string()), "{help}");
+        }
+        // The rejected switch left the session on the vectorized engine.
+        let plan = client.send("EXPLAIN SELECT R.A FROM R").unwrap();
+        assert!(plan.contains("[vectorized"), "{plan}");
         server.shutdown();
     }
 

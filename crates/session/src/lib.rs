@@ -100,8 +100,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use sqlsem_core::{
-    Database, Dialect, EvalError, LogicMode, Name, PredicateRegistry, Query, Row, Schema, Span,
-    Table, Value,
+    Database, Dialect, EvalError, Evaluator, LogicMode, Name, PredicateRegistry, Query, Row,
+    Schema, Span, Table, Value,
 };
 use sqlsem_engine::{Engine, Prepared, DEFAULT_BATCH_SIZE};
 use sqlsem_parser::{annotate_statement, parse_script, parse_statement, Statement};
@@ -868,16 +868,9 @@ impl Connection {
             .with_dialect(self.dialect)
             .with_logic(self.logic)
             .with_predicates(self.preds.clone())
-            // `Persistent` sessions execute like the optimized engine:
-            // durability lives in the session's storage wiring (and, in
-            // the harnesses, in `persistent_database`'s round trip), not
-            // in the per-query evaluator.
             .with_optimizations(matches!(
                 self.backend,
-                Backend::OptimizedEngine
-                    | Backend::VectorizedEngine
-                    | Backend::Adaptive
-                    | Backend::Persistent
+                Backend::OptimizedEngine | Backend::VectorizedEngine | Backend::Adaptive
             ))
             .with_vectorized(self.backend == Backend::VectorizedEngine)
             .with_adaptive(self.backend == Backend::Adaptive)
@@ -885,14 +878,16 @@ impl Connection {
             .with_threads(self.threads)
     }
 
-    /// Runs a query through the session's backend. Engine backends go
-    /// through [`Session::engine`], so the session's batch size reaches
-    /// the vectorized executor.
+    /// Runs a query through the session's backend: the denotational
+    /// interpreter for [`Backend::SpecInterpreter`], [`Session::engine`]
+    /// for every other one.
     fn backend_execute(&self, query: &Query) -> Result<Table, EvalError> {
         match self.backend {
-            Backend::SpecInterpreter => {
-                self.backend.execute(self.database(), self.dialect, self.logic, &self.preds, query)
-            }
+            Backend::SpecInterpreter => Evaluator::new(self.database())
+                .with_dialect(self.dialect)
+                .with_logic(self.logic)
+                .with_predicates(self.preds.clone())
+                .eval(query),
             _ => self.engine().execute(query),
         }
     }
@@ -978,7 +973,7 @@ impl Connection {
     fn apply(&mut self, op: WalOp, sql: &str, span: Span) -> Result<(), SqlsemError> {
         match &mut self.handle {
             DbHandle::Owned { db, storage } => {
-                shared::apply_op(db, &op).map_err(|e| e.into_sqlsem(sql, span))?;
+                op.apply(db).map_err(|e| shared::CommitError::Apply(e).into_sqlsem(sql, span))?;
                 let Some(storage) = storage.as_mut() else {
                     return Ok(());
                 };

@@ -34,8 +34,8 @@
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock};
 
-use sqlsem_core::{Database, EvalError, SchemaError, Table};
-use sqlsem_storage::{Storage, WalOp, DEFAULT_CHECKPOINT_THRESHOLD};
+use sqlsem_core::Database;
+use sqlsem_storage::{ApplyError, Storage, WalOp, DEFAULT_CHECKPOINT_THRESHOLD};
 
 use crate::{Connection, SqlsemError};
 
@@ -44,10 +44,8 @@ use crate::{Connection, SqlsemError};
 /// SQL and span) by the connection that submitted it.
 #[derive(Debug)]
 pub(crate) enum CommitError {
-    /// DDL violated schema well-formedness.
-    Schema(SchemaError),
-    /// DML failed validation (unknown table, arity mismatch…).
-    Eval(EvalError),
+    /// The database rejected the operation ([`WalOp::apply`]'s verdict).
+    Apply(ApplyError),
     /// The WAL append or group fsync failed.
     Storage(String),
 }
@@ -57,8 +55,8 @@ impl CommitError {
     /// [`SqlsemError`] the statement would raise on an owned session.
     pub(crate) fn into_sqlsem(self, sql: &str, span: sqlsem_core::Span) -> SqlsemError {
         match self {
-            CommitError::Schema(e) => SqlsemError::schema(e, sql, span),
-            CommitError::Eval(e) => SqlsemError::eval(e, sql, span),
+            CommitError::Apply(ApplyError::Schema(e)) => SqlsemError::schema(e, sql, span),
+            CommitError::Apply(ApplyError::Eval(e)) => SqlsemError::eval(e, sql, span),
             CommitError::Storage(message) => SqlsemError::storage(message),
         }
     }
@@ -254,7 +252,7 @@ impl SharedDatabase {
         let mut logged = false;
         let mut applied = false;
         for req in &batch {
-            let mut result = apply_op(&mut committer.master, &req.op);
+            let mut result = req.op.apply(&mut committer.master).map_err(CommitError::Apply);
             if result.is_ok() {
                 applied = true;
                 if let Some(storage) = committer.storage.as_mut() {
@@ -300,36 +298,6 @@ impl SharedDatabase {
     }
 }
 
-/// Applies one op to a database with *typed* errors (unlike
-/// [`WalOp::apply`], whose replay context flattens them to strings), so
-/// a rejected statement surfaces to its writer exactly as it would on
-/// an owned session. Owned connections route their mutations through
-/// the same function, which is what keeps the two paths' error verdicts
-/// coincident (the §4 criterion extended to DDL/DML).
-pub(crate) fn apply_op(db: &mut Database, op: &WalOp) -> Result<(), CommitError> {
-    match op {
-        WalOp::CreateTable { name, columns } => {
-            db.create_table(name.clone(), columns.iter().cloned()).map_err(CommitError::Schema)
-        }
-        WalOp::DropTable { name } => db.drop_table(name.as_str()).map_err(CommitError::Schema),
-        WalOp::Append { table, rows } => db
-            .append_rows(table.clone(), rows.iter().cloned())
-            .map(|_| ())
-            .map_err(CommitError::Eval),
-        WalOp::Replace { table, rows } => {
-            let Some(columns) = db.schema().attributes(table.as_str()).map(<[_]>::to_vec) else {
-                return Err(CommitError::Eval(EvalError::UnknownTable(table.clone())));
-            };
-            let t = Table::with_rows(columns, rows.clone()).map_err(CommitError::Eval)?;
-            db.replace_table(table.clone(), t).map_err(CommitError::Eval)
-        }
-        WalOp::CreateIndex { name, table, columns } => db
-            .create_index(name.clone(), table.clone(), columns.iter().cloned())
-            .map_err(CommitError::Schema),
-        WalOp::DropIndex { name } => db.drop_index(name.as_str()).map_err(CommitError::Schema),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,7 +320,10 @@ mod tests {
         let shared = SharedDatabase::in_memory();
         shared.record_commit_log();
         let err = shared.commit(WalOp::DropTable { name: Name::new("missing") }).unwrap_err();
-        assert!(matches!(err, CommitError::Schema(SchemaError::UnknownTable(_))));
+        assert!(matches!(
+            err,
+            CommitError::Apply(ApplyError::Schema(sqlsem_core::SchemaError::UnknownTable(_)))
+        ));
         assert_eq!(shared.version(), 0);
         assert!(shared.commit_log().is_empty());
     }

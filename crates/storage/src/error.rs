@@ -3,6 +3,8 @@
 use std::fmt;
 use std::io;
 
+use sqlsem_core::{EvalError, SchemaError};
+
 /// Errors raised while persisting or recovering a database.
 ///
 /// A truncated or checksum-corrupt *WAL tail* is deliberately **not** an
@@ -44,5 +46,44 @@ impl std::error::Error for StorageError {
 impl From<io::Error> for StorageError {
     fn from(e: io::Error) -> Self {
         StorageError::Io(e)
+    }
+}
+
+/// Why a [`crate::WalOp`] did not apply to a database: the typed verdict
+/// the database itself raised. A live statement reports it to its
+/// writer; recovery, where a committed record must never fail to
+/// apply, folds it into [`StorageError::Replay`].
+#[derive(Debug)]
+pub enum ApplyError {
+    /// DDL violated schema well-formedness.
+    Schema(SchemaError),
+    /// DML failed validation (unknown table, arity mismatch…).
+    Eval(EvalError),
+}
+
+impl fmt::Display for ApplyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ApplyError::Schema(e) => e.fmt(f),
+            ApplyError::Eval(e) => e.fmt(f),
+        }
+    }
+}
+
+impl From<SchemaError> for ApplyError {
+    fn from(e: SchemaError) -> Self {
+        ApplyError::Schema(e)
+    }
+}
+
+impl From<EvalError> for ApplyError {
+    fn from(e: EvalError) -> Self {
+        ApplyError::Eval(e)
+    }
+}
+
+impl From<ApplyError> for StorageError {
+    fn from(e: ApplyError) -> Self {
+        StorageError::Replay(e.to_string())
     }
 }

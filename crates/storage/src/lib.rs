@@ -20,10 +20,10 @@
 //! atomically rewrites the snapshot and empties the log.
 //!
 //! The storage layer deliberately knows nothing about queries: it
-//! persists exactly the state the in-memory [`Database`] holds, and the
-//! engine's `Backend::Persistent` validates the round trip against the
-//! spec interpreter the same way every other backend is validated (§4
-//! of Guagliardo & Libkin).
+//! persists exactly the state the in-memory [`Database`] holds, and
+//! `optimizer_gauntlet --backend persistent` validates the round trip by
+//! running the §4 comparison (Guagliardo & Libkin) over databases that
+//! went through the disk first.
 //!
 //! ```
 //! use sqlsem_core::{table, Name, Row, Value};
@@ -62,7 +62,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use sqlsem_core::{Database, Name};
 
 pub use checkpoint::TableStats;
-pub use error::StorageError;
+pub use error::{ApplyError, StorageError};
 pub use wal::WalOp;
 
 /// WAL size (bytes) past which [`Storage::maybe_checkpoint`] folds the
@@ -192,8 +192,8 @@ impl Storage {
     }
 
     /// Logs the complete current state of `db` (tables, contents,
-    /// indexes) as one WAL batch and commits it — the bulk-load path the
-    /// persistent backend uses to make an in-memory database durable.
+    /// indexes) as one WAL batch and commits it — the bulk-load path
+    /// that makes an in-memory database durable.
     pub fn save_all(&mut self, db: &Database) -> Result<(), StorageError> {
         for (name, attrs) in db.schema().iter() {
             self.log(&WalOp::CreateTable { name: name.clone(), columns: attrs.to_vec() })?;
@@ -218,7 +218,7 @@ impl Storage {
 
 /// Creates a fresh, unique scratch directory under the system temp dir —
 /// the offline stand-in for the `tempfile` crate, shared by the
-/// persistent backend, the gauntlet, and the tests.
+/// gauntlet's storage round trip and the tests.
 pub fn fresh_temp_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);

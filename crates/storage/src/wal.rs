@@ -16,10 +16,10 @@
 //! issue one [`crate::Storage::commit`] (a single `fdatasync`) per
 //! statement batch — the classic group-commit trade.
 
-use sqlsem_core::{Database, Name, Row, Table};
+use sqlsem_core::{Database, EvalError, Name, Row, Table};
 
 use crate::codec::{crc32, put_row, put_str, put_u32, put_u64, Reader};
-use crate::error::StorageError;
+use crate::error::{ApplyError, StorageError};
 
 /// One logical mutation, as recorded in the WAL.
 ///
@@ -155,34 +155,32 @@ impl WalOp {
         }
     }
 
-    /// Applies this operation to `db`, reproducing the original mutation.
-    /// Replay uses this verbatim, so recovery and live execution cannot
-    /// drift apart.
-    pub fn apply(&self, db: &mut Database) -> Result<(), StorageError> {
-        let fail = |e: &dyn std::fmt::Display| StorageError::Replay(e.to_string());
+    /// Applies this operation to `db`. Owned connections, the shared
+    /// commit queue and WAL replay all mutate through this one function,
+    /// so recovery and live execution cannot drift apart — in effect or
+    /// in error verdict.
+    pub fn apply(&self, db: &mut Database) -> Result<(), ApplyError> {
         match self {
             WalOp::CreateTable { name, columns } => {
-                db.create_table(name.clone(), columns.iter().cloned()).map_err(|e| fail(&e))
+                db.create_table(name.clone(), columns.iter().cloned())?
             }
-            WalOp::DropTable { name } => db.drop_table(name.as_str()).map_err(|e| fail(&e)),
-            WalOp::Append { table, rows } => db
-                .append_rows(table.clone(), rows.iter().cloned())
-                .map(|_| ())
-                .map_err(|e| fail(&e)),
+            WalOp::DropTable { name } => db.drop_table(name.as_str())?,
+            WalOp::Append { table, rows } => {
+                db.append_rows(table.clone(), rows.iter().cloned())?;
+            }
             WalOp::Replace { table, rows } => {
-                let columns = db
-                    .schema()
-                    .attributes(table.as_str())
-                    .ok_or_else(|| StorageError::Replay(format!("unknown table {table}")))?
-                    .to_vec();
-                let t = Table::with_rows(columns, rows.clone()).map_err(|e| fail(&e))?;
-                db.replace_table(table.clone(), t).map_err(|e| fail(&e))
+                let Some(columns) = db.schema().attributes(table.as_str()).map(<[_]>::to_vec)
+                else {
+                    return Err(EvalError::UnknownTable(table.clone()).into());
+                };
+                db.replace_table(table.clone(), Table::with_rows(columns, rows.clone())?)?
             }
-            WalOp::CreateIndex { name, table, columns } => db
-                .create_index(name.clone(), table.clone(), columns.iter().cloned())
-                .map_err(|e| fail(&e)),
-            WalOp::DropIndex { name } => db.drop_index(name.as_str()).map_err(|e| fail(&e)),
+            WalOp::CreateIndex { name, table, columns } => {
+                db.create_index(name.clone(), table.clone(), columns.iter().cloned())?
+            }
+            WalOp::DropIndex { name } => db.drop_index(name.as_str())?,
         }
+        Ok(())
     }
 }
 
@@ -302,5 +300,17 @@ mod tests {
         }
         assert!(db.stored_table("T").is_none());
         assert!(db.index("t_a_idx").is_none());
+    }
+
+    #[test]
+    fn a_rejected_op_keeps_its_typed_verdict() {
+        let mut db = Database::new(sqlsem_core::Schema::default());
+        let op = WalOp::Replace { table: Name::new("missing"), rows: Vec::new() };
+        let err = op.apply(&mut db).unwrap_err();
+        assert!(
+            matches!(&err, ApplyError::Eval(EvalError::UnknownTable(t)) if t.as_str() == "missing")
+        );
+        // Recovery folds the same verdict into a replay failure.
+        assert!(matches!(StorageError::from(err), StorageError::Replay(_)));
     }
 }

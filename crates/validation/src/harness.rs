@@ -321,25 +321,12 @@ pub fn session_outcome(session: &mut Session, sql: &str) -> Outcome {
 /// comparison. `batch_size` sets the vectorized backend's batch
 /// granularity and `threads` its morsel worker count (`None` keeps the
 /// engine defaults; the row backends ignore both).
-///
-/// For [`Backend::Persistent`] the database is first pushed through the
-/// durable storage engine ([`sqlsem_engine::persistent_database`]):
-/// written to a temp-dir store, fsynced, reopened, recovery asserted
-/// exact, and every table indexed on its first column — so the sweep
-/// compares the spec interpreter against index-accelerated plans over
-/// crash-recovered data. The oracles see the same recovered database
-/// (the session exposes it via [`Session::database`]), keeping the §4
-/// comparison apples-to-apples.
 pub fn candidate_session(
     db: Database,
     backend: Backend,
     batch_size: Option<usize>,
     threads: Option<usize>,
 ) -> Session {
-    let db = match backend {
-        Backend::Persistent => sqlsem_engine::persistent_database(&db),
-        _ => db,
-    };
     let mut builder = Session::builder().with_database(db).with_backend(backend);
     if let Some(n) = batch_size {
         builder = builder.with_batch_size(n);

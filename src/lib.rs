@@ -83,8 +83,8 @@
 //! * [`engine`] — an independent volcano-style engine standing in for
 //!   the PostgreSQL/Oracle validation oracles of §4;
 //! * [`storage`] — the durable storage engine: paged checkpoint files,
-//!   a checksummed write-ahead log with crash recovery, and the store
-//!   behind [`SessionBuilder::with_storage`] and `Backend::Persistent`;
+//!   a checksummed write-ahead log with crash recovery — the store
+//!   behind [`SessionBuilder::with_storage`] and [`SharedDatabase::open`];
 //! * [`algebra`] — bag relational algebra, SQL-RA, and the provably
 //!   correct SQL → RA translation of §5 (Theorem 1);
 //! * [`twovl`] — the Figure 10 translations eliminating three-valued

@@ -121,7 +121,8 @@ fn duplicate_column_names_are_rejected_before_anything_applies() {
 // ---------------------------------------------------------------------------
 
 /// A pure-SQL script — CREATE TABLE → INSERT → SELECT with grouping and
-/// a subquery → EXPLAIN — phrased in the given dialect's syntax.
+/// a subquery → EXPLAIN → Example 1's `NOT IN` over a `NULL` — phrased
+/// in the given dialect's syntax.
 fn acceptance_script(dialect: Dialect) -> String {
     let except = dialect.except_keyword();
     format!(
@@ -135,7 +136,9 @@ fn acceptance_script(dialect: Dialect) -> String {
              HAVING COUNT(*) > 0;
          SELECT Emp.id FROM Emp {except} SELECT Dept.id FROM Dept;
          EXPLAIN SELECT DISTINCT Emp.name FROM Emp
-             WHERE EXISTS (SELECT * FROM Dept WHERE Dept.id = Emp.dept)"
+             WHERE EXISTS (SELECT * FROM Dept WHERE Dept.id = Emp.dept);
+         SELECT DISTINCT Emp.dept AS d FROM Emp
+             WHERE Emp.dept NOT IN (SELECT Dept.budget FROM Dept)"
     )
 }
 
@@ -152,7 +155,7 @@ fn pure_sql_script_runs_in_every_dialect_logic_backend_combination() {
                 let results = s
                     .run_script(&acceptance_script(dialect))
                     .unwrap_or_else(|e| panic!("{dialect}/{logic}/{backend}: {e}"));
-                assert_eq!(results.len(), 7);
+                assert_eq!(results.len(), 8);
                 let label = format!("{dialect}/{logic}/{backend}");
                 // Grouped query: edsger's NULL dept never qualifies, in
                 // any logic mode, so two groups of one remain.
@@ -172,6 +175,17 @@ fn pure_sql_script_runs_in_every_dialect_logic_backend_combination() {
                     }
                     _ => assert!(plan.contains("Scan"), "{label}:\n{plan}"),
                 }
+                // Example 1: the NULL budget poisons NOT IN under 3VL
+                // (no rows at all); the two-valued readings let the
+                // non-matching depts through, and differ on whether
+                // NULL = NULL excludes edsger's NULL dept.
+                let not_in = results[7].rows().unwrap();
+                let expected = match logic {
+                    LogicMode::ThreeValued => table! { ["d"] },
+                    LogicMode::TwoValuedConflate => table! { ["d"]; [10], [20], [Value::Null] },
+                    LogicMode::TwoValuedSyntacticEq => table! { ["d"]; [10], [20] },
+                };
+                assert!(not_in.coincides(&expected), "{label}:\n{not_in}");
             }
         }
     }
