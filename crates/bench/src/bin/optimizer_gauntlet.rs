@@ -14,7 +14,9 @@
 //! Each candidate run goes end to end through the public pipeline —
 //! the query is printed in the dialect's syntax and fed to
 //! [`Session::execute`] as SQL text — so the gauntlet also proves the
-//! `Session` redesign is semantics-preserving.
+//! `Session` redesign is semantics-preserving. The same text then goes
+//! through [`Session::prepare`] + [`Session::execute_prepared`], and the
+//! cached-plan path must give the outcome the text path gave.
 //!
 //! The fixed prefix replays the paper's pitfall queries (Example 1's
 //! three null-sensitive shapes, Example 2's ambiguous star) before the
@@ -39,13 +41,13 @@
 //! oracles then read that same recovered database.
 
 use sqlsem_bench::{persistent_database, Args};
-use sqlsem_core::{Database, Dialect, Evaluator, LogicMode, Query, Schema};
+use sqlsem_core::{Database, Dialect, EvalError, Evaluator, LogicMode, Query, Schema};
 use sqlsem_engine::{Backend, Engine};
 use sqlsem_generator::paper_schema;
-use sqlsem_session::Session;
+use sqlsem_session::{Session, SqlsemError};
 use sqlsem_validation::{
     candidate_session, compare_with_order, iteration_case, ordered_comparison, session_outcome,
-    ValidationConfig, Verdict,
+    Outcome, ValidationConfig, Verdict,
 };
 
 /// Example 1 and Example 2, the shapes whose null/ambiguity behaviour
@@ -91,7 +93,20 @@ struct Tally {
     logic: LogicMode,
     vs_spec: usize,
     vs_naive: usize,
+    prepared: usize,
     disagreements: usize,
+}
+
+/// [`session_outcome`] for the prepared path: compile `sql` once, then
+/// execute the cached plan.
+fn prepared_outcome(session: &mut Session, sql: &str) -> Outcome {
+    let pipeline = |e: SqlsemError| {
+        let failure = || EvalError::malformed(format!("session pipeline failure: {e}"));
+        e.eval_error().cloned().unwrap_or_else(failure)
+    };
+    let mut stmt = session.prepare(sql).map_err(pipeline)?;
+    let result = session.execute_prepared(&mut stmt).map_err(pipeline)?;
+    result.into_rows().ok_or_else(|| EvalError::malformed("statement did not produce rows"))
 }
 
 /// Writes a disagreement dump — the SQL, the detail, and the full
@@ -141,7 +156,14 @@ fn main() {
         .collect();
     let mut tallies: Vec<Tally> = combos
         .iter()
-        .map(|(d, l)| Tally { dialect: *d, logic: *l, vs_spec: 0, vs_naive: 0, disagreements: 0 })
+        .map(|(d, l)| Tally {
+            dialect: *d,
+            logic: *l,
+            vs_spec: 0,
+            vs_naive: 0,
+            prepared: 0,
+            disagreements: 0,
+        })
         .collect();
     let mut samples: Vec<String> = Vec::new();
 
@@ -152,9 +174,12 @@ fn main() {
         let (dialect, logic) = (tally.dialect, tally.logic);
         session.set_dialect(dialect);
         session.set_logic(logic);
-        // Candidate: SQL text through the Session with the chosen backend.
+        // Candidate: SQL text through the Session with the chosen
+        // backend — executed directly, then prepared and executed from
+        // the cached plan.
         let sql = sqlsem_parser::to_sql(query, dialect);
         let candidate = session_outcome(session, &sql);
+        let prepared = prepared_outcome(session, &sql);
         // Ordered queries are compared as lists (prefix-equality under
         // ties); everything else under the §4 bag criterion.
         let order = ordered_comparison(query, session.schema());
@@ -166,14 +191,16 @@ fn main() {
             .with_logic(logic)
             .with_optimizations(false)
             .execute(query);
-        for (oracle, outcome, count) in
-            [("spec", &spec, &mut tally.vs_spec), ("naive", &naive, &mut tally.vs_naive)]
-        {
-            match compare_with_order(outcome, &candidate, order.as_ref()) {
+        for (pair, expected, got, count) in [
+            ("vs spec", &spec, &candidate, &mut tally.vs_spec),
+            ("vs naive", &naive, &candidate, &mut tally.vs_naive),
+            ("prepared vs executed", &candidate, &prepared, &mut tally.prepared),
+        ] {
+            match compare_with_order(expected, got, order.as_ref()) {
                 Verdict::AgreeResult | Verdict::AgreeError => *count += 1,
                 Verdict::Disagree(detail) => {
                     tally.disagreements += 1;
-                    let detail = format!("[{dialect} / {logic:?} vs {oracle}] {detail}");
+                    let detail = format!("[{dialect} / {logic:?} {pair}] {detail}");
                     if !dump_dir.is_empty() && dumped < 20 {
                         dumped += 1;
                         dump_disagreement(&dump_dir, dumped, &sql, &detail, session);
@@ -230,11 +257,12 @@ fn main() {
     for t in &tallies {
         total_disagreements += t.disagreements;
         println!(
-            "  {:<12} {:<22} vs-spec: {:>6}   vs-naive: {:>6}   disagree: {:>4}",
+            "  {:<12} {:<22} vs-spec: {:>6}   vs-naive: {:>6}   prepared: {:>6}   disagree: {:>4}",
             t.dialect.to_string(),
             format!("{:?}", t.logic),
             t.vs_spec,
             t.vs_naive,
+            t.prepared,
             t.disagreements
         );
     }

@@ -1,7 +1,6 @@
 //! # sqlsem-bench
 //!
-//! Experiment binaries and Criterion benchmarks reproducing the paper's
-//! evaluation. Each binary regenerates one paper artifact; see
+//! Experiment binaries reproducing the paper's evaluation. Each binary regenerates one paper artifact; see
 //! `EXPERIMENTS.md` at the repository root for the index and the
 //! paper-vs-measured record.
 //!
@@ -18,9 +17,7 @@
 //! | `concurrent_gauntlet` | beyond the paper — N writers × M readers over one `SharedDatabase`: snapshot reads vs the spec interpreter, serial replay of the commit log, all combinations |
 //!
 //! Performance is measured by the repo benchmark (`benchmark/`, see
-//! `benchmark/README.md`) and nowhere else. The Criterion benches here
-//! (`cargo bench -p sqlsem-bench`) are compile-checked microbenchmarks
-//! of the bag operations, the evaluators and the optimizer's rewrites.
+//! `benchmark/README.md`) and nowhere else.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -12,6 +12,7 @@
 //! semantics.
 
 use std::fmt;
+use std::str::FromStr;
 
 /// Which concrete system's behaviour the semantics is adjusted to (§4).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -71,6 +72,30 @@ impl fmt::Display for Dialect {
     }
 }
 
+impl FromStr for Dialect {
+    type Err = String;
+
+    /// The inverse of `Display`, case-insensitively, plus the `postgres`
+    /// shorthand — the spelling every front end (`\dialect`,
+    /// `--dialect`) accepts.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        if s.eq_ignore_ascii_case("postgres") {
+            return Ok(Dialect::PostgreSql);
+        }
+        from_spelling("dialect", s, &Dialect::ALL)
+    }
+}
+
+/// The member of `all` that displays as `s` (case-insensitively), or a
+/// rejection message listing all of them.
+fn from_spelling<T: Copy + fmt::Display>(what: &str, s: &str, all: &[T]) -> Result<T, String> {
+    let lower = s.to_ascii_lowercase();
+    all.iter().copied().find(|v| v.to_string() == lower).ok_or_else(|| {
+        let expected: Vec<String> = all.iter().map(T::to_string).collect();
+        format!("unknown {what} {s:?}: expected one of {}", expected.join(", "))
+    })
+}
+
 /// Which logic conditions are evaluated under (§6).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum LogicMode {
@@ -110,6 +135,16 @@ impl fmt::Display for LogicMode {
     }
 }
 
+impl FromStr for LogicMode {
+    type Err = String;
+
+    /// The inverse of `Display`, case-insensitively: `3vl`, `2vl` or
+    /// `2vl-syntactic-eq`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        from_spelling("logic", s, &LogicMode::ALL)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,5 +180,21 @@ mod tests {
     fn displays_are_stable() {
         assert_eq!(Dialect::PostgreSql.to_string(), "postgresql");
         assert_eq!(LogicMode::TwoValuedSyntacticEq.to_string(), "2vl-syntactic-eq");
+    }
+
+    #[test]
+    fn parsing_inverts_display() {
+        for d in Dialect::ALL {
+            assert_eq!(d.to_string().parse(), Ok(d));
+            assert_eq!(d.to_string().to_uppercase().parse(), Ok(d));
+        }
+        for l in LogicMode::ALL {
+            assert_eq!(l.to_string().parse(), Ok(l));
+        }
+        assert_eq!("postgres".parse(), Ok(Dialect::PostgreSql));
+        let err = "mysql".parse::<Dialect>().unwrap_err();
+        assert_eq!(err, "unknown dialect \"mysql\": expected one of standard, postgresql, oracle");
+        let err = "4vl".parse::<LogicMode>().unwrap_err();
+        assert_eq!(err, "unknown logic \"4vl\": expected one of 3vl, 2vl, 2vl-syntactic-eq");
     }
 }

@@ -23,10 +23,16 @@
 //!   its result can be cached across outer rows.
 //! * **Determinism** ([`plan_has_user_pred`]): user predicates are opaque
 //!   host functions; plans invoking them are never cached or reordered.
+//!
+//! Totality computes something per operator and is written out by hand.
+//! The other two ask about *every* predicate and expression position of
+//! a plan — a select-list `CASE` branch as much as a `WHERE` — so they
+//! are closures over [`Plan::walk`]: complete by construction, not by
+//! keeping a list of `match` arms complete.
 
 use sqlsem_core::{AggFunc, Database, Value};
 
-use crate::plan::{AggSpec, Expr, Plan, Pred};
+use crate::plan::{AggSpec, Expr, Plan, Pred, SortKey, Term};
 
 /// A conservative set of runtime types a column (or expression) may take,
 /// as a bitmask over `NULL`/`BOOL`/`INT`/`STR`.
@@ -81,41 +87,31 @@ impl TypeSet {
 /// column type sets per enclosing block, innermost last.
 pub(crate) type TypeFrames = Vec<Vec<TypeSet>>;
 
+/// Runs `f` with `frame` pushed as the innermost frame.
+pub(crate) fn with_frame<R>(
+    frames: &mut TypeFrames,
+    frame: Vec<TypeSet>,
+    f: impl FnOnce(&mut TypeFrames) -> R,
+) -> R {
+    frames.push(frame);
+    let result = f(frames);
+    frames.pop();
+    result
+}
+
+/// The types each expression may take under `frames` (error-capable
+/// expressions conservatively take any).
+fn exprs_types(exprs: &[Expr], frames: &TypeFrames) -> Vec<TypeSet> {
+    exprs.iter().map(|e| expr_types(e, frames).unwrap_or(TypeSet::ALL)).collect()
+}
+
 /// Per-column type sets of the rows `plan` produces, under the given
 /// outer frames (correlated references resolve against `frames`).
 pub(crate) fn col_types(plan: &Plan, frames: &mut TypeFrames, db: &Database) -> Vec<TypeSet> {
     match plan {
-        // An `IndexScan` produces a subset of the scan's rows, so the
-        // scan's column types are a sound (conservative) answer.
-        Plan::Scan { table } | Plan::IndexScan { table, .. } => match db.table(table) {
-            Ok(t) => {
-                let mut cols = vec![TypeSet::EMPTY; t.arity()];
-                for row in t.rows() {
-                    for (c, v) in cols.iter_mut().zip(row.iter()) {
-                        *c = c.union(TypeSet::of_value(v));
-                    }
-                }
-                cols
-            }
-            Err(_) => Vec::new(),
-        },
-        Plan::IndexJoin { left, table, .. } => {
-            let mut l = col_types(left, frames, db);
-            l.extend(col_types(&Plan::Scan { table: table.clone() }, frames, db));
-            l
-        }
-        Plan::Product { inputs } => inputs.iter().flat_map(|p| col_types(p, frames, db)).collect(),
-        Plan::Filter { input, .. }
-        | Plan::Distinct { input }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. }
-        | Plan::TopK { input, .. } => col_types(input, frames, db),
         Plan::Project { input, exprs } => {
             let inner = col_types(input, frames, db);
-            frames.push(inner);
-            let out = exprs.iter().map(|e| expr_types(e, frames).unwrap_or(TypeSet::ALL)).collect();
-            frames.pop();
-            out
+            with_frame(frames, inner, |frames| exprs_types(exprs, frames))
         }
         // Union rows come from both sides; intersect/except output rows
         // are drawn from the left operand.
@@ -125,11 +121,6 @@ pub(crate) fn col_types(plan: &Plan, frames: &mut TypeFrames, db: &Database) -> 
             l.iter().zip(r.iter()).map(|(a, b)| a.union(*b)).collect()
         }
         Plan::SetOp { left, .. } => col_types(left, frames, db),
-        Plan::HashJoin { left, right, .. } => {
-            let mut l = col_types(left, frames, db);
-            l.extend(col_types(right, frames, db));
-            l
-        }
         // An outer join null-pads the dangling side's counterpart: every
         // column of a padded side may additionally be NULL.
         Plan::OuterJoin { kind, left, right, .. } => {
@@ -150,11 +141,26 @@ pub(crate) fn col_types(plan: &Plan, frames: &mut TypeFrames, db: &Database) -> 
         }
         Plan::GroupAggregate { input, keys, aggs, output, .. } => {
             let group = group_frame_types(input, keys, aggs, frames, db);
-            frames.push(group);
-            let out =
-                output.iter().map(|e| expr_types(e, frames).unwrap_or(TypeSet::ALL)).collect();
-            frames.pop();
-            out
+            with_frame(frames, group, |frames| exprs_types(output, frames))
+        }
+        // Every other operator lays its inputs' columns side by side
+        // (one input: passes them through), then those of the base table
+        // it reads. Index lookups produce a subset of the stored rows, so
+        // the whole table's column types are a sound (conservative) answer.
+        _ => {
+            let mut cols: Vec<TypeSet> =
+                plan.inputs().flat_map(|p| col_types(p, frames, db)).collect();
+            if let Some(Ok(t)) = plan.base_table().map(|t| db.table(t)) {
+                let inputs = cols.len();
+                cols.resize(inputs + t.arity(), TypeSet::EMPTY);
+                let stored = &mut cols[inputs..];
+                for row in t.rows() {
+                    for (c, v) in stored.iter_mut().zip(row.iter()) {
+                        *c = c.union(TypeSet::of_value(v));
+                    }
+                }
+            }
+            cols
         }
     }
 }
@@ -169,14 +175,11 @@ pub(crate) fn group_frame_types(
     db: &Database,
 ) -> Vec<TypeSet> {
     let inner = col_types(input, frames, db);
-    frames.push(inner);
-    let mut group: Vec<TypeSet> =
-        keys.iter().map(|e| expr_types(e, frames).unwrap_or(TypeSet::ALL)).collect();
-    for spec in aggs {
-        group.push(agg_result_types(spec, frames));
-    }
-    frames.pop();
-    group
+    with_frame(frames, inner, |frames| {
+        let mut group = exprs_types(keys, frames);
+        group.extend(aggs.iter().map(|spec| agg_result_types(spec, frames)));
+        group
+    })
 }
 
 /// The type set an aggregate's per-group result may take. `COUNT` is
@@ -297,231 +300,95 @@ pub(crate) fn pred_total(pred: &Pred, frames: &mut TypeFrames, db: &Database) ->
     }
 }
 
+/// `true` iff evaluating the sort keys over `input`'s rows can never
+/// raise: every key resolves (no deferred errors) and reads a
+/// single-typed column, so neither the comparison nor the key type
+/// discipline can fire.
+pub(crate) fn sort_keys_total(
+    input: &Plan,
+    keys: &[SortKey],
+    frames: &mut TypeFrames,
+    db: &Database,
+) -> bool {
+    let types = col_types(input, frames, db);
+    with_frame(frames, types, |frames| {
+        keys.iter().all(|k| expr_types(&k.expr, frames).is_some_and(|t| t.non_null().count() <= 1))
+    })
+}
+
 /// `true` iff executing `plan` can never raise a runtime error (no
 /// deferred resolution failures, no type-mismatch comparisons, no user
-/// predicates), under the given outer type frames.
+/// predicates), under the given outer type frames: its inputs are total,
+/// and so are its own terms under the frame the operator pushes for them.
 pub(crate) fn plan_total(plan: &Plan, frames: &mut TypeFrames, db: &Database) -> bool {
+    if !plan.inputs().all(|p| plan_total(p, frames, db)) {
+        return false;
+    }
     match plan {
-        Plan::Scan { .. } => true,
-        Plan::Product { inputs } => inputs.iter().all(|p| plan_total(p, frames, db)),
-        Plan::Distinct { input } => plan_total(input, frames, db),
+        // No terms. Join keys are plain column references (total by
+        // construction), and an index lookup evaluates nothing per row —
+        // it can only select a subset of the stored rows.
+        Plan::Scan { .. }
+        | Plan::Product { .. }
+        | Plan::Distinct { .. }
+        | Plan::SetOp { .. }
+        | Plan::Limit { .. }
+        | Plan::HashJoin { .. }
+        | Plan::IndexScan { .. }
+        | Plan::IndexJoin { .. } => true,
         Plan::Filter { input, pred } => {
-            if !plan_total(input, frames, db) {
-                return false;
-            }
             let types = col_types(input, frames, db);
-            frames.push(types);
-            let ok = pred_total(pred, frames, db);
-            frames.pop();
-            ok
+            with_frame(frames, types, |frames| pred_total(pred, frames, db))
         }
         Plan::Project { input, exprs } => {
-            if !plan_total(input, frames, db) {
-                return false;
-            }
             let types = col_types(input, frames, db);
-            frames.push(types);
-            let ok = exprs.iter().all(|e| expr_types(e, frames).is_some());
-            frames.pop();
-            ok
+            with_frame(frames, types, |frames| {
+                exprs.iter().all(|e| expr_types(e, frames).is_some())
+            })
         }
-        Plan::SetOp { left, right, .. } => {
-            plan_total(left, frames, db) && plan_total(right, frames, db)
-        }
-        // Join keys are plain column references (total by construction).
-        Plan::HashJoin { left, right, .. } => {
-            plan_total(left, frames, db) && plan_total(right, frames, db)
-        }
-        // An index lookup evaluates nothing per row — it can only select
-        // a subset of the stored rows — so totality reduces to the probe
-        // input (and trivially holds for the scan).
-        Plan::IndexScan { .. } => true,
-        Plan::IndexJoin { left, .. } => plan_total(left, frames, db),
-        // Total iff both inputs are and the ON condition is, under the
-        // joined-row frame (the padded output types are a superset of
-        // the candidate rows ON actually sees, so they are safe here).
-        Plan::OuterJoin { left, right, on, .. } => {
-            if !plan_total(left, frames, db) || !plan_total(right, frames, db) {
-                return false;
-            }
+        // The padded output types are a superset of the candidate rows
+        // ON actually sees, so they are safe as the joined-row frame.
+        Plan::OuterJoin { on, .. } => {
             let types = col_types(plan, frames, db);
-            frames.push(types);
-            let ok = pred_total(on, frames, db);
-            frames.pop();
-            ok
+            with_frame(frames, types, |frames| pred_total(on, frames, db))
         }
-        Plan::Limit { input, .. } => plan_total(input, frames, db),
-        // A sort is total iff its keys resolve (no deferred errors) and
-        // each key column is single-typed, so neither the comparison nor
-        // the type discipline can raise.
         Plan::Sort { input, keys, .. } | Plan::TopK { input, keys, .. } => {
-            if !plan_total(input, frames, db) {
-                return false;
-            }
-            let types = col_types(input, frames, db);
-            frames.push(types);
-            let ok = keys
-                .iter()
-                .all(|k| expr_types(&k.expr, frames).is_some_and(|t| t.non_null().count() <= 1));
-            frames.pop();
-            ok
+            sort_keys_total(input, keys, frames, db)
         }
         Plan::GroupAggregate { input, keys, aggs, having, output } => {
-            if !plan_total(input, frames, db) {
-                return false;
-            }
             let inner = col_types(input, frames, db);
-            frames.push(inner);
-            let per_row = keys.iter().all(|e| expr_types(e, frames).is_some())
-                && aggs.iter().all(|spec| agg_total(spec, frames));
-            frames.pop();
-            if !per_row {
-                return false;
+            let per_row = with_frame(frames, inner, |frames| {
+                keys.iter().all(|e| expr_types(e, frames).is_some())
+                    && aggs.iter().all(|spec| agg_total(spec, frames))
+            });
+            per_row && {
+                let group = group_frame_types(input, keys, aggs, frames, db);
+                with_frame(frames, group, |frames| {
+                    having.as_ref().is_none_or(|p| pred_total(p, frames, db))
+                        && output.iter().all(|e| expr_types(e, frames).is_some())
+                })
             }
-            let group = group_frame_types(input, keys, aggs, frames, db);
-            frames.push(group);
-            let ok = having.as_ref().is_none_or(|p| pred_total(p, frames, db))
-                && output.iter().all(|e| expr_types(e, frames).is_some());
-            frames.pop();
-            ok
         }
     }
 }
 
-/// `true` iff the subplan reads any correlation frame outside itself.
-/// `local` counts the frames pushed *within* the subplan at the current
-/// syntactic position (0 at the subplan root): a column reference with
-/// `depth >= local` escapes to an enclosing block's row.
-pub(crate) fn plan_is_correlated(plan: &Plan, local: usize) -> bool {
-    match plan {
-        Plan::Scan { .. } | Plan::IndexScan { .. } => false,
-        Plan::IndexJoin { left, .. } => plan_is_correlated(left, local),
-        Plan::Product { inputs } => inputs.iter().any(|p| plan_is_correlated(p, local)),
-        Plan::Distinct { input } => plan_is_correlated(input, local),
-        Plan::Filter { input, pred } => {
-            plan_is_correlated(input, local) || pred_is_correlated(pred, local + 1)
-        }
-        Plan::Project { input, exprs } => {
-            plan_is_correlated(input, local) || exprs.iter().any(|e| expr_escapes(e, local + 1))
-        }
-        Plan::SetOp { left, right, .. } | Plan::HashJoin { left, right, .. } => {
-            plan_is_correlated(left, local) || plan_is_correlated(right, local)
-        }
-        // ON runs under the joined-row frame, one extra local frame.
-        Plan::OuterJoin { left, right, on, .. } => {
-            plan_is_correlated(left, local)
-                || plan_is_correlated(right, local)
-                || pred_is_correlated(on, local + 1)
-        }
-        Plan::Limit { input, .. } => plan_is_correlated(input, local),
-        // Sort keys run under the output-row frame, one extra local
-        // frame like `Project` expressions.
-        Plan::Sort { input, keys, .. } | Plan::TopK { input, keys, .. } => {
-            plan_is_correlated(input, local)
-                || keys.iter().any(|k| expr_escapes(&k.expr, local + 1))
-        }
-        // Keys and aggregate arguments run under the input-row frame;
-        // HAVING and the output run under the group frame — one extra
-        // local frame either way.
-        Plan::GroupAggregate { input, keys, aggs, having, output } => {
-            plan_is_correlated(input, local)
-                || keys.iter().any(|e| expr_escapes(e, local + 1))
-                || aggs.iter().any(|s| s.arg.as_ref().is_some_and(|e| expr_escapes(e, local + 1)))
-                || having.as_ref().is_some_and(|p| pred_is_correlated(p, local + 1))
-                || output.iter().any(|e| expr_escapes(e, local + 1))
-        }
-    }
-}
-
-fn pred_is_correlated(pred: &Pred, local: usize) -> bool {
-    match pred {
-        Pred::True | Pred::False => false,
-        Pred::Cmp { left, right, .. } | Pred::IsDistinct { left, right, .. } => {
-            expr_escapes(left, local) || expr_escapes(right, local)
-        }
-        Pred::Like { term, pattern, .. } => {
-            expr_escapes(term, local) || expr_escapes(pattern, local)
-        }
-        Pred::User { args, .. } => args.iter().any(|e| expr_escapes(e, local)),
-        Pred::IsNull { expr, .. } => expr_escapes(expr, local),
-        Pred::In { exprs, plan, .. } => {
-            exprs.iter().any(|e| expr_escapes(e, local)) || plan_is_correlated(plan, local)
-        }
-        Pred::Exists { plan, .. } => plan_is_correlated(plan, local),
-        Pred::And(a, b) | Pred::Or(a, b) => {
-            pred_is_correlated(a, local) || pred_is_correlated(b, local)
-        }
-        Pred::Not(p) => pred_is_correlated(p, local),
-    }
-}
-
-fn expr_escapes(expr: &Expr, local: usize) -> bool {
-    match expr {
-        Expr::Col { depth, .. } => *depth >= local,
-        Expr::Const(_) | Expr::Deferred(_) => false,
-        // Combinators evaluate in place — no frame of their own.
-        Expr::Case { branches, else_ } => {
-            branches.iter().any(|(p, e)| pred_is_correlated(p, local) || expr_escapes(e, local))
-                || else_.as_ref().is_some_and(|e| expr_escapes(e, local))
-        }
-        Expr::Coalesce(exprs) => exprs.iter().any(|e| expr_escapes(e, local)),
-        Expr::Nullif(a, b) => expr_escapes(a, local) || expr_escapes(b, local),
-    }
+/// `true` iff the subplan reads any correlation frame outside itself:
+/// some column reference reaches past every frame pushed within the
+/// subplan at its position (see [`Plan::walk`] for the count).
+pub(crate) fn plan_is_correlated(plan: &Plan) -> bool {
+    let mut escapes = false;
+    plan.walk(0, &mut |term, frames| {
+        escapes |= matches!(term, Term::Expr(Expr::Col { depth, .. }) if *depth >= frames);
+    });
+    escapes
 }
 
 /// `true` iff the plan invokes any user predicate (an opaque, possibly
-/// non-deterministic host function): such plans are never cached.
+/// non-deterministic host function) in any position — a filter, a `CASE`
+/// branch of a select item, a grouping key, a nested subplan: such plans
+/// are never cached.
 pub(crate) fn plan_has_user_pred(plan: &Plan) -> bool {
-    match plan {
-        Plan::Scan { .. } | Plan::IndexScan { .. } => false,
-        Plan::IndexJoin { left, .. } => plan_has_user_pred(left),
-        Plan::Product { inputs } => inputs.iter().any(plan_has_user_pred),
-        Plan::Distinct { input } => plan_has_user_pred(input),
-        Plan::Filter { input, pred } => plan_has_user_pred(input) || pred_has_user_pred(pred),
-        Plan::Project { input, .. } => plan_has_user_pred(input),
-        Plan::SetOp { left, right, .. } | Plan::HashJoin { left, right, .. } => {
-            plan_has_user_pred(left) || plan_has_user_pred(right)
-        }
-        Plan::OuterJoin { left, right, on, .. } => {
-            plan_has_user_pred(left) || plan_has_user_pred(right) || pred_has_user_pred(on)
-        }
-        Plan::GroupAggregate { input, having, .. } => {
-            plan_has_user_pred(input) || having.as_ref().is_some_and(pred_has_user_pred)
-        }
-        Plan::Sort { input, .. } | Plan::Limit { input, .. } | Plan::TopK { input, .. } => {
-            plan_has_user_pred(input)
-        }
-    }
-}
-
-fn pred_has_user_pred(pred: &Pred) -> bool {
-    match pred {
-        Pred::User { .. } => true,
-        Pred::In { exprs, plan, .. } => {
-            exprs.iter().any(expr_has_user_pred) || plan_has_user_pred(plan)
-        }
-        Pred::Exists { plan, .. } => plan_has_user_pred(plan),
-        Pred::And(a, b) | Pred::Or(a, b) => pred_has_user_pred(a) || pred_has_user_pred(b),
-        Pred::Not(p) => pred_has_user_pred(p),
-        Pred::Cmp { left, right, .. } | Pred::IsDistinct { left, right, .. } => {
-            expr_has_user_pred(left) || expr_has_user_pred(right)
-        }
-        Pred::Like { term, pattern, .. } => expr_has_user_pred(term) || expr_has_user_pred(pattern),
-        Pred::IsNull { expr, .. } => expr_has_user_pred(expr),
-        Pred::True | Pred::False => false,
-    }
-}
-
-/// Expressions can nest predicates (and through them, subplans) inside
-/// `CASE` branches — the walk must descend into them.
-fn expr_has_user_pred(expr: &Expr) -> bool {
-    match expr {
-        Expr::Const(_) | Expr::Col { .. } | Expr::Deferred(_) => false,
-        Expr::Case { branches, else_ } => {
-            branches.iter().any(|(p, e)| pred_has_user_pred(p) || expr_has_user_pred(e))
-                || else_.as_ref().is_some_and(|e| expr_has_user_pred(e))
-        }
-        Expr::Coalesce(exprs) => exprs.iter().any(expr_has_user_pred),
-        Expr::Nullif(a, b) => expr_has_user_pred(a) || expr_has_user_pred(b),
-    }
+    let mut found = false;
+    plan.walk(0, &mut |term, _| found |= matches!(term, Term::Pred(Pred::User { .. })));
+    found
 }

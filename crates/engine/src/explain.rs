@@ -7,7 +7,7 @@
 use std::fmt::Write as _;
 
 use crate::optimize::{route_batches, BatchMode, BatchRoutes};
-use crate::plan::{AggSpec, Expr, IndexOp, Plan, Pred, Prepared};
+use crate::plan::{AggSpec, Expr, IndexOp, JoinKey, Plan, Pred, Prepared, Term};
 
 /// Renders a prepared query as an indented operator tree.
 pub fn explain(prepared: &Prepared) -> String {
@@ -95,30 +95,21 @@ fn explain_plan(plan: &Plan, level: usize, out: &mut String, ctx: Option<&VecCtx
         }
         Plan::Product { inputs } => {
             let _ = writeln!(out, "Product ({} inputs)", inputs.len());
-            for input in inputs {
-                explain_plan(input, level + 1, out, ctx);
-            }
         }
-        Plan::Filter { input, pred } => {
+        Plan::Filter { pred, .. } => {
             let _ = writeln!(out, "Filter {}{note}", render_pred(pred));
-            explain_plan(input, level + 1, out, ctx);
-            explain_subplans(pred, level + 1, out);
         }
-        Plan::Project { input, exprs } => {
+        Plan::Project { exprs, .. } => {
             let rendered: Vec<String> = exprs.iter().map(render_expr).collect();
             let _ = writeln!(out, "Project [{}]{note}", rendered.join(", "));
-            explain_plan(input, level + 1, out, ctx);
         }
-        Plan::Distinct { input } => {
+        Plan::Distinct { .. } => {
             let _ = writeln!(out, "Distinct");
-            explain_plan(input, level + 1, out, ctx);
         }
-        Plan::SetOp { op, all, left, right } => {
+        Plan::SetOp { op, all, .. } => {
             let _ = writeln!(out, "{}{}", op.keyword(), if *all { " ALL" } else { "" });
-            explain_plan(left, level + 1, out, ctx);
-            explain_plan(right, level + 1, out, ctx);
         }
-        Plan::GroupAggregate { input, keys, aggs, having, output } => {
+        Plan::GroupAggregate { keys, aggs, having, output, .. } => {
             let keys: Vec<String> = keys.iter().map(render_expr).collect();
             let aggs_rendered: Vec<String> = aggs.iter().map(render_agg).collect();
             let out_rendered: Vec<String> = output.iter().map(render_expr).collect();
@@ -132,18 +123,12 @@ fn explain_plan(plan: &Plan, level: usize, out: &mut String, ctx: Option<&VecCtx
             if let Some(pred) = having {
                 let _ = write!(out, " having={}", render_pred(pred));
             }
-            out.push_str(&note);
-            out.push('\n');
-            explain_plan(input, level + 1, out, ctx);
-            if let Some(pred) = having {
-                explain_subplans(pred, level + 1, out);
-            }
+            let _ = writeln!(out, "{note}");
         }
-        Plan::Sort { input, keys } => {
+        Plan::Sort { keys, .. } => {
             let _ = writeln!(out, "Sort keys=[{}]{note}", render_sort_keys(keys));
-            explain_plan(input, level + 1, out, ctx);
         }
-        Plan::Limit { input, limit, offset } => {
+        Plan::Limit { limit, offset, .. } => {
             match limit {
                 Some(n) => {
                     let _ = write!(out, "Limit n={n}");
@@ -156,9 +141,8 @@ fn explain_plan(plan: &Plan, level: usize, out: &mut String, ctx: Option<&VecCtx
                 let _ = write!(out, " offset={offset}");
             }
             out.push('\n');
-            explain_plan(input, level + 1, out, ctx);
         }
-        Plan::TopK { input, keys, limit, offset } => {
+        Plan::TopK { keys, limit, offset, .. } => {
             let _ = write!(out, "TopK k={limit}");
             if *offset > 0 {
                 let _ = write!(out, " offset={offset}");
@@ -169,29 +153,12 @@ fn explain_plan(plan: &Plan, level: usize, out: &mut String, ctx: Option<&VecCtx
                 render_sort_keys(keys),
                 offset + limit
             );
-            explain_plan(input, level + 1, out, ctx);
         }
-        Plan::OuterJoin { kind, left, right, on } => {
+        Plan::OuterJoin { kind, on, .. } => {
             let _ = writeln!(out, "{} on {}{note}", kind.keyword(), render_pred(on));
-            explain_plan(left, level + 1, out, ctx);
-            explain_plan(right, level + 1, out, ctx);
-            explain_subplans(on, level + 1, out);
         }
-        Plan::HashJoin { left, right, keys } => {
-            let rendered: Vec<String> = keys
-                .iter()
-                .map(|k| {
-                    format!(
-                        "left.{} {} right.{}",
-                        k.left,
-                        if k.null_safe { "<=>" } else { "=" },
-                        k.right
-                    )
-                })
-                .collect();
-            let _ = writeln!(out, "HashJoin on [{}]{note}", rendered.join(", "));
-            explain_plan(left, level + 1, out, ctx);
-            explain_plan(right, level + 1, out, ctx);
+        Plan::HashJoin { keys, .. } => {
+            let _ = writeln!(out, "HashJoin on [{}]{note}", render_join_keys(keys));
         }
         Plan::IndexScan { table: _, index, keys, op } => {
             let key_names: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
@@ -211,63 +178,55 @@ fn explain_plan(plan: &Plan, level: usize, out: &mut String, ctx: Option<&VecCtx
             let _ =
                 writeln!(out, "IndexScan idx={index} keys=[{}] [{lookup}]", key_names.join(", "));
         }
-        Plan::IndexJoin { left, table: _, index, keys } => {
-            let rendered: Vec<String> = keys
-                .iter()
-                .map(|k| {
-                    format!(
-                        "left.{} {} right.{}",
-                        k.left,
-                        if k.null_safe { "<=>" } else { "=" },
-                        k.right
-                    )
-                })
-                .collect();
-            let _ = writeln!(out, "IndexJoin idx={index} on [{}]", rendered.join(", "));
-            explain_plan(left, level + 1, out, ctx);
+        Plan::IndexJoin { index, keys, .. } => {
+            let _ = writeln!(out, "IndexJoin idx={index} on [{}]", render_join_keys(keys));
         }
     }
+    for input in plan.inputs() {
+        explain_plan(input, level + 1, out, ctx);
+    }
+    // The `IN`/`EXISTS` subplans of the operator's own terms (`CASE`
+    // branches included) print beneath it, labelled. Its terms sit under
+    // one frame; a site under more belongs to an operator of some subplan
+    // and prints beneath *that*. Subplans always run in the row engine,
+    // hence no vectorized context.
+    plan.walk_terms(0, &mut |term, frames| {
+        let (label, notes, subplan) = match term {
+            _ if frames != 1 => return,
+            Term::Pred(Pred::In { plan, cache, .. }) => ("IN", annotations(false, *cache), plan),
+            Term::Pred(Pred::Exists { plan, early_exit, cache }) => {
+                ("EXISTS", annotations(*early_exit, *cache), plan)
+            }
+            _ => return,
+        };
+        indent(level + 1, out);
+        let _ = writeln!(out, "[{label} subplan{notes}]");
+        explain_plan(subplan, level + 2, out, None);
+    });
 }
 
 /// The optimizer annotations of a subquery predicate, rendered after its
 /// label: whether the subplan result is cached across outer rows, and
 /// (for `EXISTS`) whether execution may stop at the first row.
 fn annotations(early_exit: bool, cache: Option<usize>) -> String {
-    let mut notes = Vec::new();
+    let mut notes = String::new();
     if early_exit {
-        notes.push("early-exit".to_string());
+        notes.push_str(", early-exit");
     }
     if let Some(slot) = cache {
-        notes.push(format!("cached #{slot}"));
+        let _ = write!(notes, ", cached #{slot}");
     }
-    if notes.is_empty() {
-        String::new()
-    } else {
-        format!(", {}", notes.join(", "))
-    }
+    notes
 }
 
-/// Subplans referenced by a predicate (IN/EXISTS) are printed beneath
-/// the filter, labelled.
-fn explain_subplans(pred: &Pred, level: usize, out: &mut String) {
-    match pred {
-        Pred::In { plan, cache, .. } => {
-            indent(level, out);
-            let _ = writeln!(out, "[IN subplan{}]", annotations(false, *cache));
-            explain_plan(plan, level + 1, out, None);
-        }
-        Pred::Exists { plan, early_exit, cache } => {
-            indent(level, out);
-            let _ = writeln!(out, "[EXISTS subplan{}]", annotations(*early_exit, *cache));
-            explain_plan(plan, level + 1, out, None);
-        }
-        Pred::And(a, b) | Pred::Or(a, b) => {
-            explain_subplans(a, level, out);
-            explain_subplans(b, level, out);
-        }
-        Pred::Not(p) => explain_subplans(p, level, out),
-        _ => {}
-    }
+fn render_join_keys(keys: &[JoinKey]) -> String {
+    let rendered: Vec<String> = keys
+        .iter()
+        .map(|k| {
+            format!("left.{} {} right.{}", k.left, if k.null_safe { "<=>" } else { "=" }, k.right)
+        })
+        .collect();
+    rendered.join(", ")
 }
 
 fn render_sort_keys(keys: &[crate::plan::SortKey]) -> String {

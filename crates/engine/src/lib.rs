@@ -280,31 +280,13 @@ impl<'a> Engine<'a> {
 }
 
 /// The adaptive dispatcher's cardinality estimate: the largest row
-/// count among the base tables the main plan tree scans (unknown tables
-/// count 0 — execution will raise before engine choice matters).
+/// count among the base tables the main plan tree — [`Plan::inputs`]
+/// only, not the subplans inside predicates — reads (unknown tables
+/// count 0: execution will raise before engine choice matters; an index
+/// scan counts like its whole table so dispatch stays conservative).
 fn plan_scan_rows(plan: &Plan, db: &Database) -> usize {
-    match plan {
-        Plan::Scan { table } => db.stored_table(table).map_or(0, |t| t.len()),
-        Plan::Product { inputs } => inputs.iter().map(|p| plan_scan_rows(p, db)).max().unwrap_or(0),
-        Plan::Filter { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Distinct { input }
-        | Plan::GroupAggregate { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. }
-        | Plan::TopK { input, .. } => plan_scan_rows(input, db),
-        Plan::SetOp { left, right, .. }
-        | Plan::HashJoin { left, right, .. }
-        | Plan::OuterJoin { left, right, .. } => {
-            plan_scan_rows(left, db).max(plan_scan_rows(right, db))
-        }
-        // An index scan reads only matching postings; count it like its
-        // base table so dispatch stays conservative.
-        Plan::IndexScan { table, .. } => db.stored_table(table).map_or(0, |t| t.len()),
-        Plan::IndexJoin { left, table, .. } => {
-            plan_scan_rows(left, db).max(db.stored_table(table).map_or(0, |t| t.len()))
-        }
-    }
+    let own = plan.base_table().and_then(|t| db.stored_table(t)).map_or(0, |t| t.len());
+    plan.inputs().map(|p| plan_scan_rows(p, db)).fold(own, usize::max)
 }
 
 #[cfg(test)]

@@ -39,9 +39,9 @@ use sqlsem_core::{CmpOp, Database};
 
 use crate::analysis::{
     agg_total, col_types, expr_types, group_frame_types, plan_has_user_pred, plan_is_correlated,
-    plan_total, pred_total, TypeFrames,
+    plan_total, pred_total, sort_keys_total, TypeFrames, TypeSet,
 };
-use crate::plan::{AggSpec, Expr, IndexOp, JoinKey, Plan, Pred, Prepared, SortKey};
+use crate::plan::{AggSpec, Expr, IndexOp, JoinKey, Plan, Pred, Prepared, Term};
 
 /// Optimizes a compiled plan. The result computes the same function as
 /// the input — same rows, same multiplicities, same error verdicts —
@@ -112,35 +112,24 @@ pub(crate) fn route_batches(plan: &Plan, db: &Database) -> BatchRoutes {
 }
 
 fn route_node(plan: &Plan, db: &Database, routes: &mut BatchRoutes) {
-    let addr = plan as *const Plan as usize;
-    match plan {
-        Plan::Scan { .. } => {}
-        Plan::Product { inputs } => {
-            for input in inputs {
-                route_node(input, db, routes);
-            }
-        }
+    for input in plan.inputs() {
+        route_node(input, db, routes);
+    }
+    let kernel = match plan {
         Plan::Filter { input, pred } => {
-            route_node(input, db, routes);
-            let kernel = kernel_pred(pred, input.arity(db)) && {
+            kernel_pred(pred, input.arity(db)) && {
                 let types = col_types(input, &mut Vec::new(), db);
                 pred_total(pred, &mut vec![types], db)
-            };
-            routes.modes.insert(addr, if kernel { BatchMode::Kernel } else { BatchMode::Guarded });
+            }
         }
         Plan::Project { input, exprs } => {
-            route_node(input, db, routes);
             let arity = input.arity(db);
-            let kernel =
-                exprs.iter().all(|e| matches!(e, Expr::Deferred(_)) || kernel_expr(e, arity));
-            routes.modes.insert(addr, if kernel { BatchMode::Kernel } else { BatchMode::Guarded });
+            exprs.iter().all(|e| matches!(e, Expr::Deferred(_)) || kernel_expr(e, arity))
         }
         Plan::GroupAggregate { input, keys, aggs, .. } => {
-            route_node(input, db, routes);
             let arity = input.arity(db);
-            let kernel = keys.iter().all(|e| kernel_expr(e, arity))
-                && aggs.iter().all(|s| s.arg.as_ref().is_none_or(|e| kernel_expr(e, arity)));
-            routes.modes.insert(addr, if kernel { BatchMode::Kernel } else { BatchMode::Guarded });
+            keys.iter().all(|e| kernel_expr(e, arity))
+                && aggs.iter().all(|s| s.arg.as_ref().is_none_or(|e| kernel_expr(e, arity)))
         }
         // A `Sort`/`TopK` kernels iff every key is a constant or a
         // depth-0 column **and** the type analysis proves key comparison
@@ -148,24 +137,9 @@ fn route_node(plan: &Plan, db: &Database, routes: &mut BatchRoutes) {
         // then columnar key extraction with no per-row type discipline
         // raises exactly the row engine's (non-)errors.
         Plan::Sort { input, keys } | Plan::TopK { input, keys, .. } => {
-            route_node(input, db, routes);
             let arity = input.arity(db);
-            let kernel = keys.iter().all(|k| kernel_expr(&k.expr, arity)) && {
-                let frames = vec![col_types(input, &mut Vec::new(), db)];
-                keys.iter().all(|k| {
-                    expr_types(&k.expr, &frames).is_some_and(|t| t.non_null().count() <= 1)
-                })
-            };
-            routes.modes.insert(addr, if kernel { BatchMode::Kernel } else { BatchMode::Guarded });
-        }
-        Plan::Distinct { input } | Plan::Limit { input, .. } => route_node(input, db, routes),
-        // Index operators have no batch kernels: the row executor runs
-        // them and the batches are chunked from its output.
-        Plan::IndexScan { .. } => {}
-        Plan::IndexJoin { left, .. } => route_node(left, db, routes),
-        Plan::SetOp { left, right, .. } | Plan::HashJoin { left, right, .. } => {
-            route_node(left, db, routes);
-            route_node(right, db, routes);
+            keys.iter().all(|k| kernel_expr(&k.expr, arity))
+                && sort_keys_total(input, keys, &mut Vec::new(), db)
         }
         // An outer join kernels as a hash join with matched-row
         // bookkeeping iff its ON is a single in-range equi-comparison
@@ -174,17 +148,20 @@ fn route_node(plan: &Plan, db: &Database, routes: &mut BatchRoutes) {
         // evaluates the comparison value-by-value, so an error-capable
         // one (mixed-type columns) must take the nested-loop fallback.
         Plan::OuterJoin { left, right, on, .. } => {
-            route_node(left, db, routes);
-            route_node(right, db, routes);
-            let (la, ra) = (left.arity(db), right.arity(db));
-            let kernel = outer_equi_shape(on, la, ra).is_some() && {
+            outer_equi_shape(on, left.arity(db), right.arity(db)).is_some() && {
                 let mut types = col_types(left, &mut Vec::new(), db);
                 types.extend(col_types(right, &mut Vec::new(), db));
                 pred_total(on, &mut vec![types], db)
-            };
-            routes.modes.insert(addr, if kernel { BatchMode::Kernel } else { BatchMode::Guarded });
+            }
         }
-    }
+        // Nothing to decide: scans, products, joins, set operations and
+        // slicing run one way only, and index operators have no batch
+        // kernels (the row executor runs them and the batches are
+        // chunked from its output).
+        _ => return,
+    };
+    let mode = if kernel { BatchMode::Kernel } else { BatchMode::Guarded };
+    routes.modes.insert(plan as *const Plan as usize, mode);
 }
 
 /// Matches an outer join's ON of the shape `#0.l = #0.r` where `l` falls
@@ -218,17 +195,15 @@ pub(crate) fn outer_equi_shape(
 /// accumulator is true, so a speculative evaluation could raise errors
 /// the row engine skips).
 fn kernel_pred(pred: &Pred, arity: usize) -> bool {
-    match pred {
-        Pred::True | Pred::False => true,
-        Pred::Cmp { left, right, .. } | Pred::IsDistinct { left, right, .. } => {
-            kernel_expr(left, arity) && kernel_expr(right, arity)
+    let mut kernel = true;
+    pred.walk(0, &mut |term, _| {
+        kernel &= match term {
+            Term::Pred(Pred::User { .. } | Pred::In { .. } | Pred::Exists { .. }) => false,
+            Term::Pred(_) => true,
+            Term::Expr(e) => kernel_expr(e, arity),
         }
-        Pred::Like { term, pattern, .. } => kernel_expr(term, arity) && kernel_expr(pattern, arity),
-        Pred::IsNull { expr, .. } => kernel_expr(expr, arity),
-        Pred::And(a, b) | Pred::Or(a, b) => kernel_pred(a, arity) && kernel_pred(b, arity),
-        Pred::Not(p) => kernel_pred(p, arity),
-        Pred::User { .. } | Pred::In { .. } | Pred::Exists { .. } => false,
-    }
+    });
+    kernel
 }
 
 /// `true` for expressions a kernel can evaluate over a batch: constants
@@ -255,81 +230,56 @@ struct Optimizer<'a> {
 }
 
 impl Optimizer<'_> {
-    fn plan(&mut self, plan: Plan) -> Plan {
+    /// Runs `f` with `frame` pushed as the innermost type frame.
+    fn under<R>(&mut self, frame: Vec<TypeSet>, f: impl FnOnce(&mut Self) -> R) -> R {
+        self.frames.push(frame);
+        let result = f(self);
+        self.frames.pop();
+        result
+    }
+
+    fn plan(&mut self, mut plan: Plan) -> Plan {
+        // Inputs first, under the frames already in place: no operator
+        // pushes a frame around its inputs.
+        for input in plan.inputs_mut() {
+            let taken = std::mem::replace(input, Plan::Product { inputs: Vec::new() });
+            *input = self.plan(taken);
+        }
         match plan {
-            Plan::Scan { .. } => plan,
-            Plan::Product { inputs } => {
-                Plan::Product { inputs: inputs.into_iter().map(|p| self.plan(p)).collect() }
-            }
-            Plan::Distinct { input } => Plan::Distinct { input: Box::new(self.plan(*input)) },
-            Plan::SetOp { op, all, left, right } => Plan::SetOp {
-                op,
-                all,
-                left: Box::new(self.plan(*left)),
-                right: Box::new(self.plan(*right)),
-            },
-            Plan::HashJoin { left, right, keys } => Plan::HashJoin {
-                left: Box::new(self.plan(*left)),
-                right: Box::new(self.plan(*right)),
-                keys,
-            },
             // The join itself stays put (its canonical row order is the
             // operator's contract), but ON subqueries get the usual
             // treatment — cache slots and early exit — under the
             // joined-row frame.
             Plan::OuterJoin { kind, left, right, on } => {
-                let left = Box::new(self.plan(*left));
-                let right = Box::new(self.plan(*right));
                 let mut types = col_types(&left, &mut self.frames, self.db);
                 types.extend(col_types(&right, &mut self.frames, self.db));
-                self.frames.push(types);
-                let on = self.pred(on);
-                self.frames.pop();
+                let on = self.under(types, |opt| opt.pred(on));
                 Plan::OuterJoin { kind, left, right, on }
             }
-            Plan::Project { input, exprs } => {
-                Plan::Project { input: Box::new(self.plan(*input)), exprs }
-            }
             Plan::Filter { input, pred } => {
-                let input = self.plan(*input);
-                let input_types = col_types(&input, &mut self.frames, self.db);
                 // Annotate the predicate's subqueries (and optimize their
                 // plans) under the filter's own frame.
-                self.frames.push(input_types);
-                let pred = self.pred(pred);
-                self.frames.pop();
-                match input {
+                let input_types = col_types(&input, &mut self.frames, self.db);
+                let pred = self.under(input_types, |opt| opt.pred(pred));
+                match *input {
                     Plan::Product { inputs } => self.reorder(inputs, pred),
                     input => self.index_filter(input, pred),
                 }
             }
             Plan::GroupAggregate { input, keys, aggs, having, output } => {
-                let input = self.plan(*input);
                 // Optimize HAVING subqueries under the group frame, the
                 // frame their depth-0 references resolve against.
                 let having = having.map(|pred| {
                     let group = group_frame_types(&input, &keys, &aggs, &mut self.frames, self.db);
-                    self.frames.push(group);
-                    let pred = self.pred(pred);
-                    self.frames.pop();
-                    pred
+                    self.under(group, |opt| opt.pred(pred))
                 });
-                self.push_having(input, keys, aggs, having, output)
+                self.push_having(*input, keys, aggs, having, output)
             }
-            Plan::Sort { input, keys } => Plan::Sort { input: Box::new(self.plan(*input)), keys },
-            // Not produced by the compiler, but keep the pass idempotent.
-            Plan::TopK { input, keys, limit, offset } => {
-                Plan::TopK { input: Box::new(self.plan(*input)), keys, limit, offset }
-            }
-            Plan::Limit { input, limit, offset } => {
-                let input = self.plan(*input);
-                self.rewrite_limit(input, limit, offset)
-            }
-            // Produced by this pass, not the compiler; keep idempotent.
-            Plan::IndexScan { .. } => plan,
-            Plan::IndexJoin { left, table, index, keys } => {
-                Plan::IndexJoin { left: Box::new(self.plan(*left)), table, index, keys }
-            }
+            Plan::Limit { input, limit, offset } => self.rewrite_limit(*input, limit, offset),
+            // Every other operator keeps its shape over its optimized
+            // inputs — including `TopK`, `IndexScan` and `IndexJoin`,
+            // which only this pass produces (so it stays idempotent).
+            plan => plan,
         }
     }
 
@@ -352,17 +302,11 @@ impl Optimizer<'_> {
         }
         let table = table.clone();
         let conjuncts = split_and(pred);
-        let refold = |input: Plan, conjuncts: Vec<Pred>| Plan::Filter {
-            input: Box::new(input),
-            pred: and_all(conjuncts).expect("split of a predicate is non-empty"),
-        };
-
         let types = col_types(&input, &mut self.frames, self.db);
-        self.frames.push(types);
-        let total = conjuncts.iter().all(|c| pred_total(c, &mut self.frames, self.db));
-        self.frames.pop();
+        let total = self
+            .under(types, |opt| conjuncts.iter().all(|c| pred_total(c, &mut opt.frames, opt.db)));
         if !total {
-            return refold(input, conjuncts);
+            return filter_over(input, conjuncts);
         }
 
         // The comparisons an index can serve: `#0.col op const` (or
@@ -370,74 +314,43 @@ impl Optimizer<'_> {
         let shapes: Vec<Option<(usize, CmpOp, &sqlsem_core::Value)>> =
             conjuncts.iter().map(index_cmp_shape).collect();
 
+        // Per index, the equality conjuncts pinning a leading prefix of
+        // its key columns — possibly none of them, possibly all.
+        let pick = |col: usize, wanted: fn(CmpOp) -> bool| {
+            shapes.iter().position(|s| s.is_some_and(|(c, op, _)| c == col && wanted(op)))
+        };
+        let eq_prefix = |index: &sqlsem_core::Index| -> Vec<usize> {
+            index.cols().iter().map_while(|&col| pick(col, |op| op == CmpOp::Eq)).collect()
+        };
+        let values = |picks: &[usize]| -> Vec<sqlsem_core::Value> {
+            picks.iter().map(|&i| shapes[i].expect("picked shape").2.clone()).collect()
+        };
+        let usable = || self.db.indexes_on(table.as_str()).filter(|index| !index.poisoned());
+
         // Point lookups first (they consume the most conjuncts), then
         // prefix ranges (equalities pinning leading key columns, one
         // ordered comparison on the next); indexes are tried in
         // creation order, so the choice is deterministic.
-        let mut chosen: Option<(sqlsem_core::Name, IndexOp, Vec<usize>)> = None;
-        for index in self.db.indexes_on(table.as_str()) {
-            if index.poisoned() {
-                continue;
-            }
-            let eq_pick = |col: usize| {
-                shapes.iter().position(|s| s.is_some_and(|(c, op, _)| c == col && op == CmpOp::Eq))
-            };
-            let eq_picks: Option<Vec<usize>> = index.cols().iter().map(|&c| eq_pick(c)).collect();
-            if let Some(picks) = eq_picks {
-                let values = picks
-                    .iter()
-                    .map(|&i| shapes[i].expect("picked shape").2.clone())
-                    .collect::<Vec<_>>();
-                chosen = Some((index.def().name.clone(), IndexOp::Point(values), picks));
-                break;
-            }
-        }
-        if chosen.is_none() {
-            for index in self.db.indexes_on(table.as_str()) {
-                if index.poisoned() {
-                    continue;
-                }
-                // Equality conjuncts pin a leading prefix of the key
-                // columns (possibly empty)…
-                let mut picks = Vec::new();
-                for &col in index.cols() {
-                    let eq = shapes
-                        .iter()
-                        .position(|s| s.is_some_and(|(c, op, _)| c == col && op == CmpOp::Eq));
-                    match eq {
-                        Some(i) => picks.push(i),
-                        None => break,
-                    }
-                }
-                if picks.len() == index.cols().len() {
-                    // Full-key equality — the point pass already
-                    // rejected every index, so this cannot be reached;
-                    // skip rather than range over a missing column.
-                    continue;
-                }
-                // …and the next key column takes one ordered comparison.
-                let col = index.cols()[picks.len()];
-                let pick = shapes
-                    .iter()
-                    .position(|s| s.is_some_and(|(c, op, _)| c == col && is_range_op(op)));
-                let Some(i) = pick else {
-                    continue;
-                };
-                let prefix: Vec<sqlsem_core::Value> =
-                    picks.iter().map(|&p| shapes[p].expect("picked shape").2.clone()).collect();
-                let (_, op, value) = shapes[i].expect("picked shape");
-                picks.push(i);
-                chosen = Some((
-                    index.def().name.clone(),
-                    IndexOp::Range { prefix, op, value: value.clone() },
-                    picks,
-                ));
-                break;
-            }
-        }
+        let point = usable().find_map(|index| {
+            let picks = eq_prefix(index);
+            (picks.len() == index.cols().len())
+                .then(|| (index.def().name.clone(), IndexOp::Point(values(&picks)), picks))
+        });
+        let chosen = point.or_else(|| {
+            usable().find_map(|index| {
+                let mut picks = eq_prefix(index);
+                let next = *index.cols().get(picks.len())?;
+                let ranged = pick(next, is_range_op)?;
+                let (_, op, value) = shapes[ranged]?;
+                let prefix = values(&picks);
+                picks.push(ranged);
+                let op = IndexOp::Range { prefix, op, value: value.clone() };
+                Some((index.def().name.clone(), op, picks))
+            })
+        });
 
         let Some((index, op, consumed)) = chosen else {
-            return refold(input, conjuncts);
+            return filter_over(input, conjuncts);
         };
         let keys: Vec<sqlsem_core::Name> = {
             let attrs = self.db.schema().attributes(&table).expect("indexed table exists");
@@ -451,10 +364,7 @@ impl Optimizer<'_> {
             .filter(|(i, _)| !consumed.contains(i))
             .map(|(_, c)| c)
             .collect();
-        match and_all(residual) {
-            Some(pred) => Plan::Filter { input: Box::new(scan), pred },
-            None => scan,
-        }
+        filter_over(scan, residual)
     }
 
     /// The list-layer rewrites:
@@ -477,7 +387,7 @@ impl Optimizer<'_> {
     fn rewrite_limit(&mut self, input: Plan, limit: Option<u64>, offset: u64) -> Plan {
         match input {
             Plan::Sort { input, keys } => match limit {
-                Some(k) if self.sort_keys_total(&input, &keys) => {
+                Some(k) if sort_keys_total(&input, &keys, &mut self.frames, self.db) => {
                     Plan::TopK { input, keys, limit: k, offset }
                 }
                 // OFFSET without LIMIT (no bound to exploit) or
@@ -485,13 +395,9 @@ impl Optimizer<'_> {
                 _ => Plan::Limit { input: Box::new(Plan::Sort { input, keys }), limit, offset },
             },
             Plan::Project { input, exprs } => {
-                let total = {
-                    let types = col_types(&input, &mut self.frames, self.db);
-                    self.frames.push(types);
-                    let ok = exprs.iter().all(|e| expr_types(e, &self.frames).is_some());
-                    self.frames.pop();
-                    ok
-                };
+                let types = col_types(&input, &mut self.frames, self.db);
+                let total = self
+                    .under(types, |opt| exprs.iter().all(|e| expr_types(e, &opt.frames).is_some()));
                 if total {
                     Plan::Project { input: Box::new(Plan::Limit { input, limit, offset }), exprs }
                 } else {
@@ -500,21 +406,6 @@ impl Optimizer<'_> {
             }
             input => Plan::Limit { input: Box::new(input), limit, offset },
         }
-    }
-
-    /// `true` iff evaluating the sort keys over the input's rows can
-    /// never raise: every key resolves (no deferred errors) and reads a
-    /// single-typed column, so neither the comparison nor the key type
-    /// discipline can fire. Mirrors the `Sort`/`TopK` arm of
-    /// [`plan_total`](crate::analysis).
-    fn sort_keys_total(&mut self, input: &Plan, keys: &[SortKey]) -> bool {
-        let types = col_types(input, &mut self.frames, self.db);
-        self.frames.push(types);
-        let ok = keys
-            .iter()
-            .all(|k| expr_types(&k.expr, &self.frames).is_some_and(|t| t.non_null().count() <= 1));
-        self.frames.pop();
-        ok
     }
 
     /// HAVING-conjunct pushdown: a conjunct that reads only `GROUP BY`
@@ -558,9 +449,8 @@ impl Optimizer<'_> {
         }
 
         let conjuncts = split_and(pred);
-        let key_only = |c: &Pred| {
-            !pred_has_subplan(c) && product_refs(c, 0).iter().all(|col| *col < keys.len())
-        };
+        let key_only =
+            |c: &Pred| !pred_has_subplan(c) && product_refs(c).iter().all(|col| *col < keys.len());
         if !conjuncts.iter().any(&key_only) {
             return rebuild(input, and_all(conjuncts));
         }
@@ -569,21 +459,18 @@ impl Optimizer<'_> {
         // aggregate arguments and folds) must be total, and so must the
         // residual conjuncts the eliminated groups would no longer
         // evaluate.
-        let per_row_total = {
-            let inner = col_types(&input, &mut self.frames, self.db);
-            self.frames.push(inner);
-            let ok = keys.iter().all(|e| expr_types(e, &self.frames).is_some())
-                && aggs.iter().all(|spec| agg_total(spec, &self.frames));
-            self.frames.pop();
-            ok && plan_total(&input, &mut self.frames, self.db)
-        };
+        let inner = col_types(&input, &mut self.frames, self.db);
+        let per_row_total = self.under(inner, |opt| {
+            keys.iter().all(|e| expr_types(e, &opt.frames).is_some())
+                && aggs.iter().all(|spec| agg_total(spec, &opt.frames))
+        }) && plan_total(&input, &mut self.frames, self.db);
         let group_types = group_frame_types(&input, &keys, &aggs, &mut self.frames, self.db);
-        self.frames.push(group_types);
-        let residual_total = conjuncts
-            .iter()
-            .filter(|c| !key_only(c))
-            .all(|c| pred_total(c, &mut self.frames, self.db));
-        self.frames.pop();
+        let residual_total = self.under(group_types, |opt| {
+            conjuncts
+                .iter()
+                .filter(|c| !key_only(c))
+                .all(|c| pred_total(c, &mut opt.frames, opt.db))
+        });
         if !per_row_total || !residual_total {
             return rebuild(input, and_all(conjuncts));
         }
@@ -639,7 +526,7 @@ impl Optimizer<'_> {
     /// reused across outer rows: it must not read enclosing frames and
     /// must not invoke user predicates (determinism).
     fn cache_slot(&mut self, plan: &Plan) -> Option<usize> {
-        if plan_is_correlated(plan, 0) || plan_has_user_pred(plan) {
+        if plan_is_correlated(plan) || plan_has_user_pred(plan) {
             return None;
         }
         let slot = self.slots;
@@ -705,12 +592,11 @@ impl Optimizer<'_> {
         // have made it error. Either way an error verdict flips.
         let product_types: Vec<_> =
             inputs.iter().flat_map(|p| col_types(p, &mut self.frames, self.db)).collect();
-        self.frames.push(product_types);
-        let total = conjuncts.iter().all(|c| pred_total(c, &mut self.frames, self.db));
-        self.frames.pop();
+        let total = self.under(product_types, |opt| {
+            conjuncts.iter().all(|c| pred_total(c, &mut opt.frames, opt.db))
+        });
         if !total {
-            let pred = and_all(conjuncts).expect("split of a predicate is non-empty");
-            return Plan::Filter { input: Box::new(Plan::Product { inputs }), pred };
+            return filter_over(Plan::Product { inputs }, conjuncts);
         }
 
         let input_of = |col: usize| offsets.iter().rposition(|off| *off <= col).unwrap_or(0);
@@ -734,7 +620,7 @@ impl Optimizer<'_> {
                     continue;
                 }
             }
-            let refs = product_refs(&conjunct, 0);
+            let refs = product_refs(&conjunct);
             let covering: Vec<usize> = {
                 let mut is: Vec<usize> = refs.iter().map(|c| input_of(*c)).collect();
                 is.dedup();
@@ -746,7 +632,7 @@ impl Optimizer<'_> {
                 [] => pushed[0].push(conjunct),
                 [i] => {
                     let i = *i;
-                    pushed[i].push(remap_pred(conjunct, 0, offsets[i]));
+                    pushed[i].push(remap_pred(conjunct, offsets[i]));
                 }
                 _ => residual.push(conjunct),
             }
@@ -754,8 +640,7 @@ impl Optimizer<'_> {
 
         if joins.is_empty() && pushed.iter().all(Vec::is_empty) {
             // Nothing moved: keep the naive shape.
-            let pred = and_all(residual).expect("all conjuncts residual");
-            return Plan::Filter { input: Box::new(Plan::Product { inputs }), pred };
+            return filter_over(Plan::Product { inputs }, residual);
         }
 
         // Apply the pushed filters, then fold inputs left to right:
@@ -774,11 +659,7 @@ impl Optimizer<'_> {
         }
 
         if joins.is_empty() {
-            let product = Plan::Product { inputs: filtered };
-            return match and_all(residual) {
-                Some(pred) => Plan::Filter { input: Box::new(product), pred },
-                None => product,
-            };
+            return filter_over(Plan::Product { inputs: filtered }, residual);
         }
 
         let mut chain: Option<Plan> = None;
@@ -797,96 +678,35 @@ impl Optimizer<'_> {
             });
         }
         let chain = chain.expect("FROM clause has at least one input");
-        match and_all(residual) {
-            Some(pred) => Plan::Filter { input: Box::new(chain), pred },
-            None => chain,
-        }
+        filter_over(chain, residual)
     }
 }
 
 /// `true` iff the predicate contains an `IN`/`EXISTS` subplan anywhere —
 /// including inside `CASE` branch predicates nested in expressions.
 fn pred_has_subplan(pred: &Pred) -> bool {
-    match pred {
-        Pred::In { .. } | Pred::Exists { .. } => true,
-        Pred::And(a, b) | Pred::Or(a, b) => pred_has_subplan(a) || pred_has_subplan(b),
-        Pred::Not(p) => pred_has_subplan(p),
-        Pred::Cmp { left, right, .. } | Pred::IsDistinct { left, right, .. } => {
-            expr_has_subplan(left) || expr_has_subplan(right)
-        }
-        Pred::Like { term, pattern, .. } => expr_has_subplan(term) || expr_has_subplan(pattern),
-        Pred::User { args, .. } => args.iter().any(expr_has_subplan),
-        Pred::IsNull { expr, .. } => expr_has_subplan(expr),
-        Pred::True | Pred::False => false,
-    }
-}
-
-fn expr_has_subplan(expr: &Expr) -> bool {
-    match expr {
-        Expr::Const(_) | Expr::Col { .. } | Expr::Deferred(_) => false,
-        Expr::Case { branches, else_ } => {
-            branches.iter().any(|(p, e)| pred_has_subplan(p) || expr_has_subplan(e))
-                || else_.as_ref().is_some_and(|e| expr_has_subplan(e))
-        }
-        Expr::Coalesce(exprs) => exprs.iter().any(expr_has_subplan),
-        Expr::Nullif(a, b) => expr_has_subplan(a) || expr_has_subplan(b),
-    }
+    let mut found = false;
+    pred.walk(0, &mut |term, _| {
+        found |= matches!(term, Term::Pred(Pred::In { .. } | Pred::Exists { .. }));
+    });
+    found
 }
 
 /// Rewrites a key-only HAVING conjunct into an input-row predicate:
-/// every depth-0 reference (a group-frame key position) is replaced by
+/// every reference to the group frame (a key position) is replaced by
 /// that key's input-row expression. Deeper references keep their depths
 /// — the group frame and the input-row frame sit at the same stack
-/// height. Only called on subplan-free conjuncts.
-fn subst_key_refs(pred: Pred, keys: &[Expr]) -> Pred {
-    let expr = |e: Expr| subst_key_expr(e, keys);
-    match pred {
-        Pred::True | Pred::False => pred,
-        Pred::Cmp { left, op, right } => Pred::Cmp { left: expr(left), op, right: expr(right) },
-        Pred::Like { term, pattern, negated } => {
-            Pred::Like { term: expr(term), pattern: expr(pattern), negated }
+/// height. Only called on subplan-free conjuncts, so no reference sits
+/// under a frame of its own and the key expressions need no shifting.
+fn subst_key_refs(mut pred: Pred, keys: &[Expr]) -> Pred {
+    pred.cols_mut(0, &mut |col, frames| {
+        if let Expr::Col { depth, index } = *col {
+            if depth == frames {
+                *col = keys[index].clone();
+            }
         }
-        Pred::User { name, args } => {
-            Pred::User { name, args: args.into_iter().map(expr).collect() }
-        }
-        Pred::IsNull { expr: e, negated } => Pred::IsNull { expr: expr(e), negated },
-        Pred::IsDistinct { left, right, negated } => {
-            Pred::IsDistinct { left: expr(left), right: expr(right), negated }
-        }
-        Pred::And(a, b) => {
-            Pred::And(Box::new(subst_key_refs(*a, keys)), Box::new(subst_key_refs(*b, keys)))
-        }
-        Pred::Or(a, b) => {
-            Pred::Or(Box::new(subst_key_refs(*a, keys)), Box::new(subst_key_refs(*b, keys)))
-        }
-        Pred::Not(p) => Pred::Not(Box::new(subst_key_refs(*p, keys))),
-        Pred::In { .. } | Pred::Exists { .. } => {
-            unreachable!("subplan conjuncts are never pushed")
-        }
-    }
-}
-
-/// The expression half of [`subst_key_refs`]: combinators substitute
-/// recursively (they add no frame, so depth 0 still means the group
-/// frame inside them).
-fn subst_key_expr(e: Expr, keys: &[Expr]) -> Expr {
-    match e {
-        Expr::Col { depth: 0, index } => keys[index].clone(),
-        Expr::Case { branches, else_ } => Expr::Case {
-            branches: branches
-                .into_iter()
-                .map(|(p, r)| (subst_key_refs(p, keys), subst_key_expr(r, keys)))
-                .collect(),
-            else_: else_.map(|e| Box::new(subst_key_expr(*e, keys))),
-        },
-        Expr::Coalesce(exprs) => {
-            Expr::Coalesce(exprs.into_iter().map(|e| subst_key_expr(e, keys)).collect())
-        }
-        Expr::Nullif(a, b) => {
-            Expr::Nullif(Box::new(subst_key_expr(*a, keys)), Box::new(subst_key_expr(*b, keys)))
-        }
-        e => e,
-    }
+    });
+    pred
 }
 
 /// Flattens the top-level conjunction, preserving evaluation order.
@@ -904,6 +724,15 @@ fn split_and(pred: Pred) -> Vec<Pred> {
 /// Re-folds conjuncts left-associatively; `None` for an empty list.
 fn and_all(conjuncts: Vec<Pred>) -> Option<Pred> {
     conjuncts.into_iter().reduce(|a, b| Pred::And(Box::new(a), Box::new(b)))
+}
+
+/// `input` filtered by the conjunction of `conjuncts` — bare when none
+/// is left.
+fn filter_over(input: Plan, conjuncts: Vec<Pred>) -> Plan {
+    match and_all(conjuncts) {
+        Some(pred) => Plan::Filter { input: Box::new(input), pred },
+        None => input,
+    }
 }
 
 /// Matches `#0.col op const` (or the flipped `const op #0.col`, with the
@@ -945,265 +774,37 @@ fn equi_join_shape(pred: &Pred) -> Option<(usize, usize, bool)> {
 }
 
 /// All product-row columns the conjunct reads, i.e. every column
-/// reference whose depth resolves to the filter frame — including
-/// references made from inside nested subqueries, whose depths are
-/// correspondingly larger. `target` is the depth at which the current
-/// context sees the filter frame (0 at the conjunct's top level).
-fn product_refs(pred: &Pred, target: usize) -> Vec<usize> {
+/// reference that resolves to the filter frame — including references
+/// made from inside nested subqueries, whose depths are larger by the
+/// frames pushed in between.
+fn product_refs(pred: &Pred) -> Vec<usize> {
     let mut out = Vec::new();
-    collect_pred_refs(pred, target, &mut out);
+    pred.walk(0, &mut |term, frames| {
+        if let Term::Expr(Expr::Col { depth, index }) = term {
+            if *depth == frames {
+                out.push(*index);
+            }
+        }
+    });
     out.sort_unstable();
     out.dedup();
     out
 }
 
-fn collect_pred_refs(pred: &Pred, target: usize, out: &mut Vec<usize>) {
-    let mut expr = |e: &Expr| collect_expr_refs(e, target, out);
-    match pred {
-        Pred::True | Pred::False => {}
-        Pred::Cmp { left, right, .. } | Pred::IsDistinct { left, right, .. } => {
-            expr(left);
-            expr(right);
-        }
-        Pred::Like { term, pattern, .. } => {
-            expr(term);
-            expr(pattern);
-        }
-        Pred::User { args, .. } => args.iter().for_each(&mut expr),
-        Pred::IsNull { expr: e, .. } => expr(e),
-        Pred::In { exprs, plan, .. } => {
-            exprs.iter().for_each(&mut expr);
-            collect_plan_refs(plan, target, out);
-        }
-        Pred::Exists { plan, .. } => collect_plan_refs(plan, target, out),
-        Pred::And(a, b) | Pred::Or(a, b) => {
-            collect_pred_refs(a, target, out);
-            collect_pred_refs(b, target, out);
-        }
-        Pred::Not(p) => collect_pred_refs(p, target, out),
-    }
-}
-
-/// Collects an expression's references at the target depth, descending
-/// into combinators (which add no frame of their own — their branch
-/// predicates see the same stack as the expression itself).
-fn collect_expr_refs(expr: &Expr, target: usize, out: &mut Vec<usize>) {
-    match expr {
-        Expr::Col { depth, index } if *depth == target => out.push(*index),
-        Expr::Col { .. } | Expr::Const(_) | Expr::Deferred(_) => {}
-        Expr::Case { branches, else_ } => {
-            for (p, e) in branches {
-                collect_pred_refs(p, target, out);
-                collect_expr_refs(e, target, out);
-            }
-            if let Some(e) = else_ {
-                collect_expr_refs(e, target, out);
-            }
-        }
-        Expr::Coalesce(exprs) => exprs.iter().for_each(|e| collect_expr_refs(e, target, out)),
-        Expr::Nullif(a, b) => {
-            collect_expr_refs(a, target, out);
-            collect_expr_refs(b, target, out);
-        }
-    }
-}
-
-/// Walks a subplan looking for references that resolve to the filter
-/// frame. Each `Filter`/`Project` inside the subplan pushes one more
-/// runtime frame around its expressions, so the target depth grows by
-/// one when descending into them.
-fn collect_plan_refs(plan: &Plan, target: usize, out: &mut Vec<usize>) {
-    match plan {
-        Plan::Scan { .. } => {}
-        Plan::Product { inputs } => {
-            inputs.iter().for_each(|p| collect_plan_refs(p, target, out));
-        }
-        Plan::Distinct { input } => collect_plan_refs(input, target, out),
-        Plan::Filter { input, pred } => {
-            collect_plan_refs(input, target, out);
-            collect_pred_refs(pred, target + 1, out);
-        }
-        Plan::Project { input, exprs } => {
-            collect_plan_refs(input, target, out);
-            for e in exprs {
-                collect_expr_refs(e, target + 1, out);
-            }
-        }
-        Plan::SetOp { left, right, .. } | Plan::HashJoin { left, right, .. } => {
-            collect_plan_refs(left, target, out);
-            collect_plan_refs(right, target, out);
-        }
-        // The ON condition runs under the joined-row frame, one extra
-        // frame like a `Filter` predicate.
-        Plan::OuterJoin { left, right, on, .. } => {
-            collect_plan_refs(left, target, out);
-            collect_plan_refs(right, target, out);
-            collect_pred_refs(on, target + 1, out);
-        }
-        Plan::Limit { input, .. } => collect_plan_refs(input, target, out),
-        // An index scan's operands are constants; an index join's keys
-        // are positional columns of its own inputs — neither reads the
-        // filter frame.
-        Plan::IndexScan { .. } => {}
-        Plan::IndexJoin { left, .. } => collect_plan_refs(left, target, out),
-        // Sort keys see the output-row frame: one extra frame, like
-        // `Project` expressions.
-        Plan::Sort { input, keys } | Plan::TopK { input, keys, .. } => {
-            collect_plan_refs(input, target, out);
-            for k in keys {
-                collect_expr_refs(&k.expr, target + 1, out);
-            }
-        }
-        // Keys/arguments see the input-row frame, HAVING and the output
-        // see the group frame: one extra frame either way.
-        Plan::GroupAggregate { input, keys, aggs, having, output } => {
-            collect_plan_refs(input, target, out);
-            let mut expr = |e: &Expr| collect_expr_refs(e, target + 1, out);
-            keys.iter().for_each(&mut expr);
-            aggs.iter().filter_map(|s| s.arg.as_ref()).for_each(&mut expr);
-            output.iter().for_each(&mut expr);
-            if let Some(pred) = having {
-                collect_pred_refs(pred, target + 1, out);
-            }
-        }
-    }
-}
-
 /// Rewrites a conjunct being pushed from the product's filter down to a
-/// single input's filter: every reference to the product row (at the
-/// tracked target depth) has the input's column offset subtracted.
-/// References to enclosing blocks keep their depths — the correlation
-/// stack below the filter frame is identical in both positions.
-fn remap_pred(pred: Pred, target: usize, offset: usize) -> Pred {
-    let expr = |e: Expr| remap_expr(e, target, offset);
-    match pred {
-        Pred::True | Pred::False => pred,
-        Pred::Cmp { left, op, right } => Pred::Cmp { left: expr(left), op, right: expr(right) },
-        Pred::Like { term, pattern, negated } => {
-            Pred::Like { term: expr(term), pattern: expr(pattern), negated }
+/// single input's filter: every reference to the product row has the
+/// input's column offset subtracted. References to enclosing blocks keep
+/// their depths — the correlation stack below the filter frame is
+/// identical in both positions.
+fn remap_pred(mut pred: Pred, offset: usize) -> Pred {
+    pred.cols_mut(0, &mut |col, frames| {
+        if let Expr::Col { depth, index } = col {
+            if *depth == frames {
+                *index -= offset;
+            }
         }
-        Pred::User { name, args } => {
-            Pred::User { name, args: args.into_iter().map(expr).collect() }
-        }
-        Pred::IsNull { expr: e, negated } => Pred::IsNull { expr: expr(e), negated },
-        Pred::IsDistinct { left, right, negated } => {
-            Pred::IsDistinct { left: expr(left), right: expr(right), negated }
-        }
-        Pred::In { exprs, plan, negated, cache } => Pred::In {
-            exprs: exprs.into_iter().map(expr).collect(),
-            plan: Box::new(remap_plan(*plan, target, offset)),
-            negated,
-            cache,
-        },
-        Pred::Exists { plan, early_exit, cache } => {
-            Pred::Exists { plan: Box::new(remap_plan(*plan, target, offset)), early_exit, cache }
-        }
-        Pred::And(a, b) => Pred::And(
-            Box::new(remap_pred(*a, target, offset)),
-            Box::new(remap_pred(*b, target, offset)),
-        ),
-        Pred::Or(a, b) => Pred::Or(
-            Box::new(remap_pred(*a, target, offset)),
-            Box::new(remap_pred(*b, target, offset)),
-        ),
-        Pred::Not(p) => Pred::Not(Box::new(remap_pred(*p, target, offset))),
-    }
-}
-
-fn remap_plan(plan: Plan, target: usize, offset: usize) -> Plan {
-    match plan {
-        Plan::Scan { .. } => plan,
-        Plan::Product { inputs } => Plan::Product {
-            inputs: inputs.into_iter().map(|p| remap_plan(p, target, offset)).collect(),
-        },
-        Plan::Distinct { input } => {
-            Plan::Distinct { input: Box::new(remap_plan(*input, target, offset)) }
-        }
-        Plan::Filter { input, pred } => Plan::Filter {
-            input: Box::new(remap_plan(*input, target, offset)),
-            pred: remap_pred(pred, target + 1, offset),
-        },
-        Plan::Project { input, exprs } => Plan::Project {
-            input: Box::new(remap_plan(*input, target, offset)),
-            exprs: exprs.into_iter().map(|e| remap_expr(e, target + 1, offset)).collect(),
-        },
-        Plan::SetOp { op, all, left, right } => Plan::SetOp {
-            op,
-            all,
-            left: Box::new(remap_plan(*left, target, offset)),
-            right: Box::new(remap_plan(*right, target, offset)),
-        },
-        Plan::HashJoin { left, right, keys } => Plan::HashJoin {
-            left: Box::new(remap_plan(*left, target, offset)),
-            right: Box::new(remap_plan(*right, target, offset)),
-            keys,
-        },
-        Plan::OuterJoin { kind, left, right, on } => Plan::OuterJoin {
-            kind,
-            left: Box::new(remap_plan(*left, target, offset)),
-            right: Box::new(remap_plan(*right, target, offset)),
-            on: remap_pred(on, target + 1, offset),
-        },
-        Plan::GroupAggregate { input, keys, aggs, having, output } => Plan::GroupAggregate {
-            input: Box::new(remap_plan(*input, target, offset)),
-            keys: keys.into_iter().map(|e| remap_expr(e, target + 1, offset)).collect(),
-            aggs: aggs
-                .into_iter()
-                .map(|s| AggSpec { arg: s.arg.map(|e| remap_expr(e, target + 1, offset)), ..s })
-                .collect(),
-            having: having.map(|p| remap_pred(p, target + 1, offset)),
-            output: output.into_iter().map(|e| remap_expr(e, target + 1, offset)).collect(),
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(remap_plan(*input, target, offset)),
-            keys: remap_sort_keys(keys, target, offset),
-        },
-        Plan::TopK { input, keys, limit, offset: skip } => Plan::TopK {
-            input: Box::new(remap_plan(*input, target, offset)),
-            keys: remap_sort_keys(keys, target, offset),
-            limit,
-            offset: skip,
-        },
-        Plan::Limit { input, limit, offset: skip } => {
-            Plan::Limit { input: Box::new(remap_plan(*input, target, offset)), limit, offset: skip }
-        }
-        Plan::IndexScan { .. } => plan,
-        Plan::IndexJoin { left, table, index, keys } => Plan::IndexJoin {
-            left: Box::new(remap_plan(*left, target, offset)),
-            table,
-            index,
-            keys,
-        },
-    }
-}
-
-fn remap_sort_keys(keys: Vec<SortKey>, target: usize, offset: usize) -> Vec<SortKey> {
-    keys.into_iter()
-        .map(|k| SortKey { expr: remap_expr(k.expr, target + 1, offset), ..k })
-        .collect()
-}
-
-fn remap_expr(expr: Expr, target: usize, offset: usize) -> Expr {
-    match expr {
-        Expr::Col { depth, index } if depth == target => Expr::Col { depth, index: index - offset },
-        // Combinators add no frame: branch predicates and nested
-        // expressions remap at the same target depth.
-        Expr::Case { branches, else_ } => Expr::Case {
-            branches: branches
-                .into_iter()
-                .map(|(p, e)| (remap_pred(p, target, offset), remap_expr(e, target, offset)))
-                .collect(),
-            else_: else_.map(|e| Box::new(remap_expr(*e, target, offset))),
-        },
-        Expr::Coalesce(exprs) => {
-            Expr::Coalesce(exprs.into_iter().map(|e| remap_expr(e, target, offset)).collect())
-        }
-        Expr::Nullif(a, b) => Expr::Nullif(
-            Box::new(remap_expr(*a, target, offset)),
-            Box::new(remap_expr(*b, target, offset)),
-        ),
-        e => e,
-    }
+    });
+    pred
 }
 
 #[cfg(test)]
@@ -1229,30 +830,7 @@ mod tests {
     }
 
     fn count_ops(plan: &Plan, pred: &mut dyn FnMut(&Plan) -> bool) -> usize {
-        let mut n = usize::from(pred(plan));
-        match plan {
-            Plan::Scan { .. } => {}
-            Plan::Product { inputs } => {
-                n += inputs.iter().map(|p| count_ops(p, pred)).sum::<usize>();
-            }
-            Plan::Filter { input, .. }
-            | Plan::Distinct { input }
-            | Plan::GroupAggregate { input, .. }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. }
-            | Plan::TopK { input, .. } => {
-                n += count_ops(input, pred);
-            }
-            Plan::Project { input, .. } => n += count_ops(input, pred),
-            Plan::SetOp { left, right, .. }
-            | Plan::HashJoin { left, right, .. }
-            | Plan::OuterJoin { left, right, .. } => {
-                n += count_ops(left, pred) + count_ops(right, pred);
-            }
-            Plan::IndexScan { .. } => {}
-            Plan::IndexJoin { left, .. } => n += count_ops(left, pred),
-        }
-        n
+        usize::from(pred(plan)) + plan.inputs().map(|p| count_ops(p, pred)).sum::<usize>()
     }
 
     #[test]

@@ -22,6 +22,27 @@
 //! flat-expression discipline here is what makes the columnar kernels
 //! possible at all: a `Col { depth: 0, index }` *is* a column of the
 //! batch, with no name resolution left to do per value.
+//!
+//! ## The shape of the IR, stated once
+//!
+//! Every rewrite and analysis depends on one structural fact: *which
+//! parts of a plan node are evaluated under one more correlation frame*.
+//! This module is its only home. `Plan::inputs` lists a node's child
+//! plans (nothing is pushed around them); `each_term!` lists its own
+//! predicates and expressions — each evaluated under exactly one more
+//! frame, with the reason per operator; `each_pred_child!` and
+//! `each_expr_child!` say that predicates, the `CASE`/`COALESCE`/`NULLIF`
+//! combinators and `IN`/`EXISTS` subplans push nothing. Two walks are
+//! built on them: `Plan::walk`, read-only, reports every predicate and
+//! expression node with its frame count; `Plan::cols_mut` hands out
+//! every column reference for rewriting. Whatever needs to look
+//! *through* a plan — correlation, determinism, the columns a conjunct
+//! reads, re-indexing a pushed conjunct, `EXPLAIN`'s subplan listing —
+//! is a closure over one of the two. What is still written out per
+//! variant computes something per operator instead (column types and
+//! totality in `crate::analysis`, `route_batches`, rendering, the
+//! executors), so a new variant is threaded through the macros here and
+//! then only through code that has something to say about it.
 
 use sqlsem_core::ast::JoinKind;
 use sqlsem_core::{AggFunc, CmpOp, EvalError, Name, Value};
@@ -410,24 +431,15 @@ impl Plan {
     /// consistent arities by the compiler, so this is total.
     pub fn arity(&self, db: &sqlsem_core::Database) -> usize {
         match self {
-            Plan::Scan { table } => db.schema().attributes(table).map_or(0, |attrs| attrs.len()),
-            Plan::Product { inputs } => inputs.iter().map(|p| p.arity(db)).sum(),
-            Plan::Filter { input, .. }
-            | Plan::Distinct { input }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. }
-            | Plan::TopK { input, .. } => input.arity(db),
             Plan::Project { exprs, .. } => exprs.len(),
             Plan::GroupAggregate { output, .. } => output.len(),
             Plan::SetOp { left, .. } => left.arity(db),
-            Plan::HashJoin { left, right, .. } | Plan::OuterJoin { left, right, .. } => {
-                left.arity(db) + right.arity(db)
-            }
-            Plan::IndexScan { table, .. } => {
-                db.schema().attributes(table).map_or(0, |attrs| attrs.len())
-            }
-            Plan::IndexJoin { left, table, .. } => {
-                left.arity(db) + db.schema().attributes(table).map_or(0, |attrs| attrs.len())
+            // Every other operator lays its inputs' columns side by side
+            // (one input: passes them through), then those of the base
+            // table it reads.
+            _ => {
+                let stored = self.base_table().and_then(|t| db.schema().attributes(t));
+                self.inputs().map(|p| p.arity(db)).sum::<usize>() + stored.map_or(0, |a| a.len())
             }
         }
     }
@@ -440,49 +452,278 @@ impl Plan {
     /// sniffing each produced row — which made error behaviour depend on
     /// row order.
     pub fn arity_checked(&self, db: &sqlsem_core::Database) -> Result<usize, EvalError> {
-        match self {
-            Plan::Scan { .. } => Ok(self.arity(db)),
-            Plan::Project { input, exprs } => {
-                // A projection fixes its own arity, but its input must
-                // still be consistent for the guarantee to hold below it.
-                input.arity_checked(db)?;
-                Ok(exprs.len())
+        // An operator that fixes its own arity (a projection, say) must
+        // still sit on consistent inputs for the guarantee to hold below it.
+        for input in self.inputs() {
+            input.arity_checked(db)?;
+        }
+        if let Plan::SetOp { left, right, .. } = self {
+            let (left, right) = (left.arity(db), right.arity(db));
+            if left != right {
+                return Err(EvalError::ArityMismatch { context: "set operation", left, right });
             }
-            Plan::Product { inputs } => {
-                let mut sum = 0;
-                for input in inputs {
-                    sum += input.arity_checked(db)?;
+        }
+        Ok(self.arity(db))
+    }
+}
+
+/// A predicate or expression node, as the read-only walk reports it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Term<'a> {
+    Pred(&'a Pred),
+    Expr(&'a Expr),
+}
+
+/// **The correlation-frame rule.** Runs `$body` once per *term* of the
+/// operator `$plan` — the predicates and expressions the operator itself
+/// evaluates, as opposed to its input plans — with `$t` bound to the
+/// term and `$under` to the number of frames it is evaluated under.
+/// That number is always `$frames + 1`: every operator that evaluates
+/// anything first pushes exactly one row onto the correlation stack,
+/// and nothing is pushed around an operator's inputs.
+///
+/// `$plan` may be a `&Plan` or a `&mut Plan`; the bindings follow, which
+/// is how one statement of the rule serves both walks.
+macro_rules! each_term {
+    ($plan:expr, $frames:expr => |$t:ident, $under:ident| $body:expr) => {{
+        let $under = $frames + 1;
+        match $plan {
+            // Inputs only. Join keys are column positions in the inputs'
+            // rows and index operands are constants — neither is a term,
+            // neither reads the correlation stack.
+            Plan::Scan { .. }
+            | Plan::Product { .. }
+            | Plan::Distinct { .. }
+            | Plan::SetOp { .. }
+            | Plan::Limit { .. }
+            | Plan::HashJoin { .. }
+            | Plan::IndexScan { .. }
+            | Plan::IndexJoin { .. } => {}
+            // The candidate row (for a join: the candidate joined row)
+            // is pushed while the condition is evaluated.
+            Plan::Filter { pred: $t, .. } | Plan::OuterJoin { on: $t, .. } => $body,
+            // The input row is pushed while it is mapped.
+            Plan::Project { exprs, .. } => {
+                for $t in exprs {
+                    $body
                 }
-                Ok(sum)
             }
+            // Keys are read off the block's output row, pushed like a
+            // projection's input row.
+            Plan::Sort { keys, .. } | Plan::TopK { keys, .. } => {
+                for SortKey { expr: $t, .. } in keys {
+                    $body
+                }
+            }
+            // Keys and aggregate arguments see the input row; `having`
+            // and `output` see the group frame `keys ++ aggs`, pushed *in
+            // place of* the input row — one frame either way.
+            Plan::GroupAggregate { keys, aggs, having, output, .. } => {
+                for $t in keys {
+                    $body
+                }
+                for AggSpec { arg, .. } in aggs {
+                    if let Some($t) = arg {
+                        $body
+                    }
+                }
+                if let Some($t) = having {
+                    $body
+                }
+                for $t in output {
+                    $body
+                }
+            }
+        }
+    }};
+}
+
+/// Runs `$body` once per child of the predicate `$pred` (`&` or `&mut`),
+/// with `$c` bound to it: operand expressions, sub-predicates, and the
+/// subplan of `IN`/`EXISTS`. All of them sit under the predicate's own
+/// frame count — in particular a subplan *starts* there: running it
+/// pushes nothing until one of its operators evaluates a term.
+macro_rules! each_pred_child {
+    ($pred:expr, |$c:ident| $body:expr) => {
+        match $pred {
+            Pred::True | Pred::False => {}
+            Pred::Cmp { left, right, .. } | Pred::IsDistinct { left, right, .. } => {
+                for $c in [left, right] {
+                    $body
+                }
+            }
+            Pred::Like { term, pattern, .. } => {
+                for $c in [term, pattern] {
+                    $body
+                }
+            }
+            Pred::User { args, .. } => {
+                for $c in args {
+                    $body
+                }
+            }
+            Pred::IsNull { expr: $c, .. } => $body,
+            Pred::In { exprs, plan, .. } => {
+                for $c in exprs {
+                    $body
+                }
+                let $c = plan;
+                $body
+            }
+            Pred::Exists { plan: $c, .. } => $body,
+            Pred::Not($c) => $body,
+            Pred::And(a, b) | Pred::Or(a, b) => {
+                for $c in [a, b] {
+                    $body
+                }
+            }
+        }
+    };
+}
+
+/// Runs `$body` once per child of the expression `$expr` (`&` or
+/// `&mut`), with `$c` bound to it. The combinators evaluate in place —
+/// `CASE` branch predicates, `COALESCE` and `NULLIF` operands all see
+/// the same stack as the expression itself; nothing is pushed.
+macro_rules! each_expr_child {
+    ($expr:expr, |$c:ident| $body:expr) => {
+        match $expr {
+            Expr::Const(_) | Expr::Col { .. } | Expr::Deferred(_) => {}
+            Expr::Case { branches, else_ } => {
+                for (when, then) in branches {
+                    let $c = when;
+                    $body;
+                    let $c = then;
+                    $body
+                }
+                if let Some($c) = else_ {
+                    $body
+                }
+            }
+            Expr::Coalesce(exprs) => {
+                for $c in exprs {
+                    $body
+                }
+            }
+            Expr::Nullif(a, b) => {
+                for $c in [a, b] {
+                    $body
+                }
+            }
+        }
+    };
+}
+
+/// The input plans of `$plan` as two slices (`&` or `&mut`, per
+/// `$one`/`$ref`) to be chained: operators have a list of inputs, one,
+/// or a left and a right.
+macro_rules! plan_inputs {
+    ($plan:expr, $one:path, $($ref:tt)+) => {
+        match $plan {
+            Plan::Scan { .. } | Plan::IndexScan { .. } => Default::default(),
+            Plan::Product { inputs } => (inputs, Default::default()),
             Plan::Filter { input, .. }
+            | Plan::Project { input, .. }
             | Plan::Distinct { input }
+            | Plan::GroupAggregate { input, .. }
             | Plan::Sort { input, .. }
             | Plan::Limit { input, .. }
-            | Plan::TopK { input, .. } => input.arity_checked(db),
-            Plan::GroupAggregate { input, output, .. } => {
-                input.arity_checked(db)?;
-                Ok(output.len())
+            | Plan::TopK { input, .. }
+            | Plan::IndexJoin { left: input, .. } => ($one($($ref)+ **input), Default::default()),
+            Plan::SetOp { left, right, .. }
+            | Plan::HashJoin { left, right, .. }
+            | Plan::OuterJoin { left, right, .. } => {
+                ($one($($ref)+ **left), $one($($ref)+ **right))
             }
-            Plan::SetOp { left, right, .. } => {
-                let l = left.arity_checked(db)?;
-                let r = right.arity_checked(db)?;
-                if l != r {
-                    return Err(EvalError::ArityMismatch {
-                        context: "set operation",
-                        left: l,
-                        right: r,
-                    });
-                }
-                Ok(l)
-            }
-            Plan::HashJoin { left, right, .. } | Plan::OuterJoin { left, right, .. } => {
-                Ok(left.arity_checked(db)? + right.arity_checked(db)?)
-            }
-            Plan::IndexScan { .. } => Ok(self.arity(db)),
-            Plan::IndexJoin { left, table, .. } => Ok(left.arity_checked(db)?
-                + db.schema().attributes(table).map_or(0, |attrs| attrs.len())),
         }
+    };
+}
+
+impl Plan {
+    /// The operator's input plans, in output-layout order. Subplans
+    /// inside predicates are *not* inputs — they are reached through
+    /// the operator's terms (see [`Plan::walk`]).
+    pub(crate) fn inputs(&self) -> impl Iterator<Item = &Plan> {
+        let (some, more): (&[Plan], &[Plan]) = plan_inputs!(self, std::slice::from_ref, &);
+        some.iter().chain(more)
+    }
+
+    /// [`Plan::inputs`], mutably.
+    pub(crate) fn inputs_mut(&mut self) -> impl Iterator<Item = &mut Plan> {
+        let (some, more): (&mut [Plan], &mut [Plan]) =
+            plan_inputs!(self, std::slice::from_mut, &mut);
+        some.iter_mut().chain(more)
+    }
+
+    /// The base table whose stored rows the operator reads directly.
+    pub(crate) fn base_table(&self) -> Option<&Name> {
+        match self {
+            Plan::Scan { table }
+            | Plan::IndexScan { table, .. }
+            | Plan::IndexJoin { table, .. } => Some(table),
+            _ => None,
+        }
+    }
+
+    /// The read-only walk: reports every predicate and expression node
+    /// of the plan — inputs first, then the operator's own terms,
+    /// descending through `IN`/`EXISTS` into subplans — together with
+    /// the number of correlation frames pushed between the walk's root
+    /// (which counts `frames`) and that node. So a `Col { depth, .. }`
+    /// reported with `n` frames is bound inside the walked tree iff
+    /// `depth < n`, and otherwise reads frame `depth - n` of the stack
+    /// as it stood at the root: `depth == n` is the row that was
+    /// innermost when the walk started.
+    pub(crate) fn walk<'a, F: FnMut(Term<'a>, usize)>(&'a self, frames: usize, f: &mut F) {
+        for input in self.inputs() {
+            input.walk(frames, f);
+        }
+        self.walk_terms(frames, f);
+    }
+
+    /// [`Plan::walk`] over the operator's own terms only, not its inputs.
+    pub(crate) fn walk_terms<'a, F: FnMut(Term<'a>, usize)>(&'a self, frames: usize, f: &mut F) {
+        each_term!(self, frames => |t, under| t.walk(under, f));
+    }
+
+    /// The mutable walk: hands every [`Expr::Col`] node of the plan to
+    /// `f` (which may rewrite or replace it) with the same frame count
+    /// [`Plan::walk`] reports for it.
+    pub(crate) fn cols_mut<F: FnMut(&mut Expr, usize)>(&mut self, frames: usize, f: &mut F) {
+        for input in self.inputs_mut() {
+            input.cols_mut(frames, f);
+        }
+        each_term!(self, frames => |t, under| t.cols_mut(under, f));
+    }
+}
+
+impl Pred {
+    /// [`Plan::walk`] from a predicate evaluated under `frames` frames.
+    pub(crate) fn walk<'a, F: FnMut(Term<'a>, usize)>(&'a self, frames: usize, f: &mut F) {
+        f(Term::Pred(self), frames);
+        each_pred_child!(self, |c| c.walk(frames, f));
+    }
+
+    /// [`Plan::cols_mut`] from a predicate evaluated under `frames` frames.
+    pub(crate) fn cols_mut<F: FnMut(&mut Expr, usize)>(&mut self, frames: usize, f: &mut F) {
+        each_pred_child!(self, |c| c.cols_mut(frames, f));
+    }
+}
+
+impl Expr {
+    /// [`Plan::walk`] from an expression evaluated under `frames` frames.
+    pub(crate) fn walk<'a, F: FnMut(Term<'a>, usize)>(&'a self, frames: usize, f: &mut F) {
+        f(Term::Expr(self), frames);
+        each_expr_child!(self, |c| c.walk(frames, f));
+    }
+
+    /// [`Plan::cols_mut`] from an expression evaluated under `frames`
+    /// frames.
+    pub(crate) fn cols_mut<F: FnMut(&mut Expr, usize)>(&mut self, frames: usize, f: &mut F) {
+        if let Expr::Col { .. } = self {
+            return f(self, frames);
+        }
+        each_expr_child!(self, |c| c.cols_mut(frames, f));
     }
 }
 
@@ -496,4 +737,176 @@ pub struct Prepared {
     /// Number of subquery cache slots the optimizer allocated (0 for
     /// naive plans); the executor sizes its cache accordingly.
     pub cache_slots: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A marker: a column reference no real frame could bind, whose
+    /// index names the term position under test.
+    fn mark(k: usize) -> Expr {
+        Expr::Col { depth: 99, index: k }
+    }
+
+    fn mark_pred(k: usize) -> Pred {
+        Pred::IsNull { expr: mark(k), negated: false }
+    }
+
+    fn scan() -> Box<Plan> {
+        Box::new(Plan::Scan { table: "R".into() })
+    }
+
+    fn filter(k: usize) -> Box<Plan> {
+        Box::new(Plan::Filter { input: scan(), pred: mark_pred(k) })
+    }
+
+    /// The frame count both walks report for markers `0..n` of `plan`,
+    /// walked from 0.
+    fn frames_of(plan: &Plan) -> Vec<usize> {
+        let mut seen = Vec::new();
+        plan.walk(0, &mut |term, frames| {
+            if let Term::Expr(Expr::Col { depth: 99, index }) = term {
+                seen.push((*index, frames));
+            }
+        });
+        let mut seen_mut = Vec::new();
+        plan.clone().cols_mut(0, &mut |col, frames| {
+            if let Expr::Col { depth: 99, index } = col {
+                seen_mut.push((*index, frames));
+            }
+        });
+        assert_eq!(seen, seen_mut, "the two walks disagree on {plan:?}");
+        seen.sort_unstable();
+        assert!(seen.iter().map(|(k, _)| *k).eq(0..seen.len()), "markers lost: {seen:?}");
+        seen.into_iter().map(|(_, frames)| frames).collect()
+    }
+
+    #[test]
+    fn the_walks_report_the_frame_count_of_every_term_position() {
+        let key = JoinKey { left: 0, right: 0, null_safe: false };
+        let sort_key = |k| SortKey { expr: mark(k), desc: false, nulls_first: false };
+        let agg = |arg| AggSpec { func: AggFunc::Min, distinct: false, arg };
+        // Filter[1] m0 IN (Project[2] m1 over Filter[2] EXISTS (Filter[3] m2)),
+        // the IN itself sitting in a CASE branch of a comparison.
+        let exists = Pred::Exists { plan: filter(2), early_exit: false, cache: None };
+        let sub = Plan::Project {
+            input: Box::new(Plan::Filter { input: scan(), pred: exists }),
+            exprs: vec![mark(1)],
+        };
+        let site =
+            Pred::In { exprs: vec![mark(0)], plan: Box::new(sub), negated: true, cache: None };
+        let case = Expr::Case { branches: vec![(site, Expr::Const(Value::Null))], else_: None };
+        let nested =
+            Pred::Not(Box::new(Pred::IsNull { expr: Expr::Coalesce(vec![case]), negated: false }));
+        let cases = [
+            // Every term of every operator sees exactly one more frame…
+            (*filter(0), vec![1]),
+            (
+                Plan::OuterJoin {
+                    kind: JoinKind::Left,
+                    left: scan(),
+                    right: scan(),
+                    on: mark_pred(0),
+                },
+                vec![1],
+            ),
+            (Plan::Project { input: scan(), exprs: vec![mark(0), mark(1)] }, vec![1, 1]),
+            (Plan::Sort { input: scan(), keys: vec![sort_key(0)] }, vec![1]),
+            (Plan::TopK { input: scan(), keys: vec![sort_key(0)], limit: 1, offset: 0 }, vec![1]),
+            (
+                Plan::GroupAggregate {
+                    input: scan(),
+                    keys: vec![mark(0)],
+                    aggs: vec![agg(None), agg(Some(mark(1)))],
+                    having: Some(mark_pred(2)),
+                    output: vec![mark(3)],
+                },
+                vec![1; 4],
+            ),
+            // …operators without terms pass their inputs through at the
+            // same count…
+            (Plan::Product { inputs: vec![*filter(0), *filter(1)] }, vec![1, 1]),
+            (Plan::HashJoin { left: filter(0), right: filter(1), keys: vec![key] }, vec![1, 1]),
+            (
+                Plan::SetOp {
+                    op: sqlsem_core::SetOp::Union,
+                    all: true,
+                    left: filter(0),
+                    right: filter(1),
+                },
+                vec![1, 1],
+            ),
+            (
+                Plan::IndexJoin {
+                    left: filter(0),
+                    table: "R".into(),
+                    index: "i".into(),
+                    keys: vec![key],
+                },
+                vec![1],
+            ),
+            (Plan::Distinct { input: filter(0) }, vec![1]),
+            (Plan::Limit { input: filter(0), limit: None, offset: 0 }, vec![1]),
+            // …the combinators push nothing…
+            (
+                Plan::Project {
+                    input: scan(),
+                    exprs: vec![
+                        Expr::Case {
+                            branches: vec![(mark_pred(0), mark(1))],
+                            else_: Some(Box::new(mark(2))),
+                        },
+                        Expr::Coalesce(vec![mark(3), mark(4)]),
+                        Expr::Nullif(Box::new(mark(5)), Box::new(mark(6))),
+                    ],
+                },
+                vec![1; 7],
+            ),
+            // …and a subplan starts at its predicate's count.
+            (Plan::Filter { input: scan(), pred: nested }, vec![1, 2, 3]),
+        ];
+        for (plan, expected) in cases {
+            assert_eq!(frames_of(&plan), expected, "{plan:?}");
+        }
+    }
+
+    /// Every plan of a closed query — as compiled and as optimized — is
+    /// closed: no column reference reaches past the frames the plan
+    /// itself pushes. If the frame rule under-counted any position, a
+    /// reference bound there would be reported as escaping the root.
+    #[test]
+    fn plans_of_closed_queries_are_closed() {
+        use crate::analysis::plan_is_correlated;
+        use rand::{rngs::StdRng, SeedableRng};
+        use sqlsem_generator::{
+            paper_schema, random_database, DataGenConfig, QueryGenConfig, QueryGenerator,
+        };
+        let schema = paper_schema();
+        let subquery_heavy = QueryGenConfig {
+            subquery_cond_prob: 0.8,
+            correlated_prob: 0.6,
+            aggregate_prob: 0.5,
+            combinator_prob: 0.3,
+            ..QueryGenConfig::small()
+        };
+        let configs = [QueryGenConfig::small(), QueryGenConfig::outer_join_heavy(), subquery_heavy];
+        let mut plans = 0;
+        for (c, config) in configs.into_iter().enumerate() {
+            let gen = QueryGenerator::new(&schema, config);
+            for i in 0..150u64 {
+                let mut rng = StdRng::seed_from_u64(0x91a7_0000 + 1000 * c as u64 + i);
+                let query = gen.generate(&mut rng);
+                let db = random_database(&schema, &DataGenConfig::small(), &mut rng);
+                for dialect in sqlsem_core::Dialect::ALL {
+                    let Ok(naive) = crate::compile::compile(&query, &db, dialect) else { continue };
+                    assert!(!plan_is_correlated(&naive.plan), "{:?}", naive.plan);
+                    let optimized = crate::optimize::optimize(naive, &db);
+                    assert!(!plan_is_correlated(&optimized.plan), "{:?}", optimized.plan);
+                    plans += 2;
+                }
+            }
+        }
+        assert!(plans > 1000, "only {plans} plans compiled");
+    }
 }

@@ -16,12 +16,16 @@
 //!
 //! * The server greets each new client with one *response block*.
 //! * The client sends **one statement per line** (a trailing `;` is
-//!   tolerated). Lines starting with `\` are session meta commands:
+//!   tolerated). Lines starting with `\` are session meta commands —
+//!   the set [`Connection::meta_command`] interprets, the same one the
+//!   REPL speaks: `\d` (schema and indexes),
 //!   `\dialect standard|postgresql|oracle`,
 //!   `\logic 3vl|2vl|2vl-syntactic-eq`,
-//!   `\backend spec|naive|optimized|vectorized|adaptive`, and `\q`
-//!   (disconnect) — each client can pick its own dialect × logic ×
-//!   backend without affecting anyone else.
+//!   `\backend spec|naive|optimized|vectorized|adaptive`,
+//!   `\batchsize N`, `\threads N`, `\q` (disconnect) — plus the
+//!   server's own `\stats` (snapshot version and this connection's
+//!   statement counts). Each client picks its own configuration without
+//!   affecting anyone else.
 //! * Every line is answered with exactly one response block: zero or
 //!   more non-empty payload lines followed by one **empty line** (the
 //!   block terminator). Query results render as psql-style tables with
@@ -59,6 +63,9 @@
 //! initial database reproduces the final state bit for bit, which is
 //! what the concurrent gauntlet verifies across all nine dialect ×
 //! logic combinations.
+//!
+//! [`Connection`]: sqlsem_session::Connection
+//! [`Connection::meta_command`]: sqlsem_session::Connection::meta_command
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,7 +78,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use sqlsem_core::{Dialect, LogicMode};
-use sqlsem_session::{Backend, Connection, SessionBuilder, SharedDatabase};
+use sqlsem_session::{Backend, SessionBuilder, SharedDatabase};
 
 /// How long blocking reads and the accept loop wait before re-checking
 /// the shutdown flag. Bounds how stale a shutdown request can go
@@ -222,7 +229,7 @@ impl Drop for Server {
 }
 
 /// Accepts until shut down; every accepted stream gets its own thread
-/// and its own [`Connection`] over the shared database.
+/// and its own [`sqlsem_session::Connection`] over the shared database.
 fn accept_loop(
     listener: TcpListener,
     shared: SharedDatabase,
@@ -317,7 +324,18 @@ fn serve_client(
         if text.is_empty() {
             write_block(&mut out, "")?;
         } else if let Some(meta) = text.strip_prefix('\\') {
-            match run_meta(&mut session, meta, statements, rows_affected) {
+            // `\stats` is the server's own; everything else belongs to
+            // the interpreter shared with the REPL (`None` = disconnect).
+            let reply = if meta.split_whitespace().next() == Some("stats") {
+                Some(format!(
+                    "version {} — {statements} statements, {rows_affected} rows affected \
+                     on this connection",
+                    session.snapshot_version()
+                ))
+            } else {
+                session.meta_command(meta)
+            };
+            match reply {
                 Some(reply) => write_block(&mut out, &reply)?,
                 None => {
                     let bye = format!(
@@ -338,84 +356,6 @@ fn serve_client(
                 Err(e) => write_block(&mut out, &e.to_string())?,
             }
         }
-    }
-}
-
-/// Executes a `\…` meta command; `None` means the client asked to
-/// disconnect.
-fn run_meta(
-    session: &mut Connection,
-    meta: &str,
-    statements: usize,
-    rows_affected: usize,
-) -> Option<String> {
-    let mut words = meta.split_whitespace();
-    let reply = match (words.next(), words.next()) {
-        (Some("q"), _) => return None,
-        (Some("d"), _) => {
-            let schema = session.schema();
-            if schema.is_empty() {
-                "(no tables)".to_string()
-            } else {
-                schema.to_string()
-            }
-        }
-        (Some("stats"), _) => format!(
-            "version {} — {statements} statements, {rows_affected} rows affected \
-             on this connection",
-            session.snapshot_version()
-        ),
-        (Some("dialect"), Some(arg)) => match parse_dialect(arg) {
-            Some(d) => {
-                session.set_dialect(d);
-                format!("dialect: {d}")
-            }
-            None => format!("unknown dialect {arg:?}: expected standard, postgresql or oracle"),
-        },
-        (Some("logic"), Some(arg)) => match parse_logic(arg) {
-            Some(l) => {
-                session.set_logic(l);
-                format!("logic: {l}")
-            }
-            None => format!("unknown logic {arg:?}: expected 3vl, 2vl or 2vl-syntactic-eq"),
-        },
-        (Some("backend"), Some(arg)) => match arg.parse::<Backend>() {
-            Ok(b) => {
-                session.set_backend(b);
-                format!("backend: {b}")
-            }
-            Err(e) => e.to_string(),
-        },
-        _ => format!(
-            "meta commands: \\d (schema)  \\stats  \
-             \\dialect <standard|postgresql|oracle>  \
-             \\logic <3vl|2vl|2vl-syntactic-eq>  \
-             \\backend <{}>  \\q (disconnect)",
-            Backend::ALL.map(|b| b.to_string()).join("|")
-        ),
-    };
-    Some(reply)
-}
-
-/// Parses the wire spelling of a dialect (the spelling [`Dialect`]'s
-/// `Display` prints, plus the `postgres` shorthand).
-pub fn parse_dialect(arg: &str) -> Option<Dialect> {
-    match arg.to_ascii_lowercase().as_str() {
-        "standard" => Some(Dialect::Standard),
-        "postgresql" | "postgres" => Some(Dialect::PostgreSql),
-        "oracle" => Some(Dialect::Oracle),
-        _ => None,
-    }
-}
-
-/// Parses the wire spelling of a logic mode (the spelling
-/// [`LogicMode`]'s `Display` prints).
-pub fn parse_logic(arg: &str) -> Option<LogicMode> {
-    match arg.to_ascii_lowercase().as_str() {
-        "3vl" => Some(LogicMode::ThreeValued),
-        "2vl" => Some(LogicMode::TwoValuedConflate),
-        "2vl-syntactic-eq" => Some(LogicMode::TwoValuedSyntacticEq),
-        _ => None,
     }
 }
 

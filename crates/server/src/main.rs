@@ -7,20 +7,26 @@
 //!               [--backend spec|naive|optimized|vectorized|adaptive]
 //! ```
 //!
+//! Connected clients configure their own session with the `\…` meta
+//! commands of `Connection::meta_command` — `\d`, `\dialect`, `\logic`,
+//! `\backend`, `\batchsize`, `\threads`, `\q`, the same set the example
+//! REPL speaks — plus the server's `\stats`.
+//!
 //! `--listen` defaults to `127.0.0.1:5433` (`:0` picks a free port —
 //! the chosen address is printed on startup). With `--storage DIR` the
 //! database is durable: the directory is recovered on startup and every
 //! commit batch is fsynced to its WAL before any writer in the batch is
 //! acknowledged.
 
-use sqlsem_server::{parse_dialect, parse_logic, ServerBuilder};
+use sqlsem_server::ServerBuilder;
 use sqlsem_session::SharedDatabase;
 
-fn usage() -> ! {
+/// Rejects the command line: the problem (a value's own parse error
+/// lists the accepted spellings), then the synopsis.
+fn usage(problem: String) -> ! {
     eprintln!(
-        "usage: sqlsem-server [--listen ADDR] [--storage DIR] \
-         [--dialect standard|postgresql|oracle] [--logic 3vl|2vl|2vl-syntactic-eq] \
-         [--backend spec|naive|optimized|vectorized|adaptive]"
+        "{problem}\nusage: sqlsem-server [--listen ADDR] [--storage DIR] \
+         [--dialect DIALECT] [--logic LOGIC] [--backend BACKEND]"
     );
     std::process::exit(2);
 }
@@ -31,23 +37,20 @@ fn main() {
     let mut builder = ServerBuilder::new();
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let Some(value) = args.next() else { usage() };
+        let Some(value) = args.next() else { usage(format!("{flag} needs a value")) };
+        // The flags take the spellings the `\dialect`/`\logic`/`\backend`
+        // meta commands take: each type's `FromStr`.
         match flag.as_str() {
             "--listen" => listen = value,
             "--storage" => storage = Some(value),
-            "--dialect" => match parse_dialect(&value) {
-                Some(d) => builder = builder.with_dialect(d),
-                None => usage(),
-            },
-            "--logic" => match parse_logic(&value) {
-                Some(l) => builder = builder.with_logic(l),
-                None => usage(),
-            },
-            "--backend" => match value.parse() {
-                Ok(b) => builder = builder.with_backend(b),
-                Err(_) => usage(),
-            },
-            _ => usage(),
+            "--dialect" => {
+                builder = builder.with_dialect(value.parse().unwrap_or_else(|e| usage(e)))
+            }
+            "--logic" => builder = builder.with_logic(value.parse().unwrap_or_else(|e| usage(e))),
+            "--backend" => {
+                builder = builder.with_backend(value.parse().unwrap_or_else(|e| usage(e)))
+            }
+            _ => usage(format!("unknown flag {flag}")),
         }
     }
     let shared = match &storage {

@@ -93,6 +93,7 @@
 #![forbid(unsafe_code)]
 
 mod error;
+mod meta;
 mod shared;
 
 use std::fmt;
@@ -416,18 +417,18 @@ impl fmt::Display for StatementResult {
 /// A prepared statement: the parse, annotation, and (for the engine
 /// backends) compile+optimize work of one statement, cached for reuse.
 ///
-/// Handles stay valid across DDL: each records the identity and schema
-/// *epoch* of the session that compiled it — plus, on a shared
-/// database, the snapshot *version* — and
-/// [`Session::execute_prepared`] transparently re-prepares from the
-/// original SQL when the schema (or the session's
-/// dialect/logic/backend configuration) has changed since — or when
-/// the handle is executed on a different session than it was prepared
-/// on, so a cached positional plan never runs against a schema it was
-/// not compiled for. The version check is deliberately coarse (any
-/// commit from any connection re-prepares): the optimizer's totality
-/// proofs are data-seeded, so even a plain `INSERT` elsewhere can
-/// invalidate a cached plan.
+/// Handles never go stale, and there is one rule for it: a handle
+/// records the identity and *epoch* of the connection that compiled it,
+/// and [`Session::execute_prepared`] transparently re-prepares from the
+/// original SQL when either differs. The epoch moves whenever anything a
+/// cached plan depends on may have moved — a dialect/logic/backend
+/// switch, **any** DDL or DML statement through this connection, and, on
+/// a shared database, every newer snapshot the connection picks up (a
+/// commit from any connection). The rule is deliberately coarse: plans
+/// are positional, so they depend on the schema, and the optimizer's
+/// totality proofs are data-seeded, so even a plain `INSERT` can
+/// invalidate a cached plan (an `IndexScan` chosen because a column held
+/// only integers must not survive the first string inserted into it).
 #[derive(Clone, Debug)]
 pub struct PreparedStatement {
     sql: String,
@@ -435,7 +436,6 @@ pub struct PreparedStatement {
     plan: Option<Prepared>,
     session_id: u64,
     epoch: u64,
-    db_version: u64,
 }
 
 impl PreparedStatement {
@@ -508,8 +508,9 @@ pub struct Connection {
     /// handle prepared on one session is never trusted by another whose
     /// epoch counter happens to coincide.
     id: u64,
-    /// Bumped on every schema or configuration change; prepared
-    /// statements compare it to know when their cached work is stale.
+    /// Bumped whenever the configuration or the database this
+    /// connection sees changes; prepared statements compare it to know
+    /// when their cached work is stale (see [`PreparedStatement`]).
     epoch: u64,
 }
 
@@ -643,11 +644,15 @@ impl Connection {
     }
 
     /// Takes the latest published snapshot, unless reads are pinned or
-    /// the database is owned.
+    /// the database is owned. A newer snapshot is a different database:
+    /// it moves the epoch.
     fn refresh(&mut self) {
         if let DbHandle::Shared { shared, snap, version, pinned } = &mut self.handle {
             if !*pinned {
                 let (s, v) = shared.snapshot_versioned();
+                if v != *version {
+                    self.epoch += 1;
+                }
                 *snap = s;
                 *version = v;
             }
@@ -795,7 +800,6 @@ impl Connection {
             plan,
             session_id: self.id,
             epoch: self.epoch,
-            db_version: self.snapshot_version(),
         })
     }
 
@@ -808,10 +812,7 @@ impl Connection {
         prepared: &mut PreparedStatement,
     ) -> Result<StatementResult, SqlsemError> {
         self.refresh();
-        if prepared.session_id != self.id
-            || prepared.epoch != self.epoch
-            || prepared.db_version != self.snapshot_version()
-        {
+        if prepared.session_id != self.id || prepared.epoch != self.epoch {
             *prepared = self.prepare(&prepared.sql)?;
         }
         let span = Span::of(&prepared.sql);
@@ -927,12 +928,10 @@ impl Connection {
             Statement::CreateTable { table, columns } => {
                 let op = WalOp::CreateTable { name: table.clone(), columns: columns.clone() };
                 self.apply(op, sql, span)?;
-                self.epoch += 1;
                 Ok(StatementResult::Created(table.clone()))
             }
             Statement::DropTable { table } => {
                 self.apply(WalOp::DropTable { name: table.clone() }, sql, span)?;
-                self.epoch += 1;
                 Ok(StatementResult::Dropped(table.clone()))
             }
             Statement::CreateIndex { name, table, columns } => {
@@ -942,14 +941,10 @@ impl Connection {
                     columns: columns.clone(),
                 };
                 self.apply(op, sql, span)?;
-                // Indexes don't change name resolution, but they do
-                // change plans — cached prepared plans must recompile.
-                self.epoch += 1;
                 Ok(StatementResult::IndexCreated(name.clone()))
             }
             Statement::DropIndex { name } => {
                 self.apply(WalOp::DropIndex { name: name.clone() }, sql, span)?;
-                self.epoch += 1;
                 Ok(StatementResult::IndexDropped(name.clone()))
             }
             Statement::Insert { table, columns, rows } => {
@@ -970,7 +965,13 @@ impl Connection {
     /// queue, block until a leader commits the batch, and refresh the
     /// snapshot — publish-before-deliver in the queue guarantees the
     /// refreshed snapshot contains this write.
+    ///
+    /// Every mutation goes through here, so this is where prepared plans
+    /// are invalidated (see [`PreparedStatement`]) — even if the mutation
+    /// then fails: an owned database may already have changed when its
+    /// WAL write errors.
     fn apply(&mut self, op: WalOp, sql: &str, span: Span) -> Result<(), SqlsemError> {
+        self.epoch += 1;
         match &mut self.handle {
             DbHandle::Owned { db, storage } => {
                 op.apply(db).map_err(|e| shared::CommitError::Apply(e).into_sqlsem(sql, span))?;

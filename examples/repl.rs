@@ -28,12 +28,15 @@
 //! SQL
 //! ```
 //!
-//! Meta commands: `\d` shows the schema, the indexes, and — when the
-//! REPL was started with `--storage DIR` — each table's on-disk page
-//! and row counts, `\backend spec|naive|optimized|vectorized|adaptive`,
+//! Meta commands are the ones `Session::meta_command` interprets — the
+//! same set `sqlsem-server` speaks: `\d` (schema and indexes; with
+//! `--storage DIR` also each table's on-disk page and row counts),
+//! `\dialect standard|postgresql|oracle`,
+//! `\logic 3vl|2vl|2vl-syntactic-eq` (the paper's §6 modes),
+//! `\backend spec|naive|optimized|vectorized|adaptive`,
 //! `\batchsize N` (the vectorized backend's rows-per-batch),
 //! `\threads N` (morsel workers for the vectorized executor; 0 = auto),
-//! `\dialect standard|postgresql|oracle`, `\q` quits.
+//! `\q` quits. (`\stats` exists on server connections only.)
 //!
 //! With `--storage DIR` the session opens a durable store in `DIR`
 //! (replaying its WAL if a previous run crashed); every DDL and
@@ -50,157 +53,66 @@
 use std::io::{self, BufRead, IsTerminal, Write};
 
 use sqlsem::server::Client;
-use sqlsem::{Backend, Dialect, Session};
+use sqlsem::Session;
 
-/// Prints the schema, index definitions and (when a durable store is
-/// attached) per-table on-disk footprints — the `\d` meta command.
-/// Checkpoints first so the reported pages/rows reflect the current
-/// database rather than whatever the last WAL compaction happened to
-/// capture.
-fn describe(session: &mut Session) {
-    if session.storage().is_some() {
+/// The statements of the accumulated input, split at every `;` that
+/// sits *outside* a single-quoted string literal — or `None` while the
+/// input does not yet end in such a `;` and more lines are needed.
+/// Checking the raw line for a trailing `;` (as this REPL once did)
+/// submits half a statement whenever a string literal spans lines and
+/// the first line happens to end in `;`. The scan toggles on each `'`,
+/// which also handles the `''` escape: in a literal, `''` toggles out
+/// and straight back in, leaving the state open — exactly the lexer's
+/// reading.
+fn statements(buffer: &str) -> Option<Vec<String>> {
+    let mut statements = Vec::new();
+    let mut current = String::new();
+    let (mut in_string, mut terminated) = (false, false);
+    for c in buffer.chars() {
+        if c == ';' && !in_string {
+            if !current.trim().is_empty() {
+                statements.push(current.trim().to_string());
+            }
+            current.clear();
+            terminated = true;
+        } else {
+            in_string ^= c == '\'';
+            current.push(c);
+        }
+    }
+    (terminated && current.trim().is_empty()).then_some(statements)
+}
+
+/// Handles a `\…` meta command; returns `false` when the REPL should
+/// quit. The interpreter is the session's; the REPL's own share is `\d`
+/// over a durable store, which adds each table's on-disk footprint.
+fn meta_command(session: &mut Session, command: &str) -> bool {
+    let footprint = command.split_whitespace().next() == Some("d") && session.storage().is_some();
+    // Checkpoint first so the reported pages/rows reflect the current
+    // database rather than whatever the last WAL compaction captured.
+    if footprint {
         if let Err(e) = session.checkpoint() {
             println!("{e}");
         }
     }
-    let schema = session.schema();
-    if schema.is_empty() {
-        println!("(no tables — try CREATE TABLE R (A);)");
-    } else {
-        println!("{schema}");
-    }
-    let indexes = session.database().indexes();
-    if !indexes.is_empty() {
-        println!("Indexes:");
-        for index in indexes {
-            let def = index.def();
-            let cols: Vec<String> = def.columns.iter().map(|c| c.to_string()).collect();
-            println!("  {} ON {} ({})", def.name, def.table, cols.join(", "));
-        }
-    }
-    if let Some(storage) = session.storage() {
+    let Some(reply) = session.meta_command(command) else { return false };
+    println!("{reply}");
+    if let (true, Some(storage)) = (footprint, session.storage()) {
         println!("Storage ({}):", storage.dir().display());
-        for (table, _) in schema.iter() {
+        for (table, _) in session.schema().iter() {
             let stats = storage.table_stats(table.as_ref()).unwrap_or_default();
             println!("  {table}: {} pages, {} rows on disk", stats.pages, stats.rows);
         }
     }
-}
-
-/// `true` when the accumulated input forms a submittable statement: its
-/// last non-whitespace character is a `;` that sits *outside* every
-/// single-quoted string literal. Checking the raw line for a trailing
-/// `;` (as this REPL once did) submits half a statement whenever a
-/// string literal spans lines and the first line happens to end in `;`.
-/// The scan toggles on each `'`, which also handles the `''` escape: in
-/// a literal, `''` toggles out and straight back in, leaving the state
-/// open — exactly the lexer's reading.
-fn terminated(buffer: &str) -> bool {
-    let mut in_string = false;
-    let mut complete = false;
-    for c in buffer.chars() {
-        match c {
-            '\'' => {
-                in_string = !in_string;
-                complete = false;
-            }
-            ';' if !in_string => complete = true,
-            c if c.is_whitespace() => {}
-            _ => complete = false,
-        }
-    }
-    complete
-}
-
-/// Handles a `\…` meta command; returns `false` when the REPL should
-/// quit.
-fn meta_command(session: &mut Session, line: &str) -> bool {
-    let mut words = line.split_whitespace();
-    match (words.next(), words.next()) {
-        (Some("\\q"), _) => return false,
-        (Some("\\d"), _) => describe(session),
-        (Some("\\backend"), Some(arg)) => match arg.parse::<Backend>() {
-            Ok(backend) => {
-                session.set_backend(backend);
-                println!("backend: {backend}");
-            }
-            Err(e) => println!("{e}"),
-        },
-        (Some("\\batchsize"), Some(arg)) => match arg.parse::<usize>() {
-            Ok(n) if n > 0 => {
-                session.set_batch_size(n);
-                println!("batch size: {n}");
-            }
-            _ => println!("unknown batch size {arg:?}: expected a positive integer"),
-        },
-        (Some("\\threads"), Some(arg)) => match arg.parse::<usize>() {
-            Ok(n) => {
-                session.set_threads(n);
-                println!("threads: {}", if n == 0 { "auto".to_string() } else { n.to_string() });
-            }
-            Err(_) => println!("unknown thread count {arg:?}: expected an integer (0 = auto)"),
-        },
-        (Some("\\dialect"), Some(arg)) => {
-            let dialect = match arg.to_ascii_lowercase().as_str() {
-                "standard" => Some(Dialect::Standard),
-                "postgresql" | "postgres" => Some(Dialect::PostgreSql),
-                "oracle" => Some(Dialect::Oracle),
-                _ => None,
-            };
-            match dialect {
-                Some(d) => {
-                    session.set_dialect(d);
-                    println!("dialect: {d}");
-                }
-                None => {
-                    println!("unknown dialect {arg:?}: expected standard, postgresql or oracle")
-                }
-            }
-        }
-        _ => println!(
-            "meta commands: \\d (schema, indexes, on-disk stats)  \\backend <{}>  \
-             \\batchsize <rows>  \\threads <n>  \
-             \\dialect <standard|postgresql|oracle>  \\q (quit)",
-            Backend::ALL.map(|b| b.to_string()).join("|")
-        ),
-    }
     true
 }
 
-/// Splits a `;`-terminated buffer into its individual statements (the
-/// same quote-aware scan as [`terminated`]) — the server protocol is
-/// one statement per line, so a `A; B` input line becomes two sends.
-fn split_statements(buffer: &str) -> Vec<String> {
-    let mut statements = Vec::new();
-    let mut current = String::new();
-    let mut in_string = false;
-    for c in buffer.chars() {
-        match c {
-            '\'' => {
-                in_string = !in_string;
-                current.push(c);
-            }
-            ';' if !in_string => {
-                if !current.trim().is_empty() {
-                    statements.push(current.trim().to_string());
-                }
-                current.clear();
-            }
-            _ => current.push(c),
-        }
-    }
-    if !current.trim().is_empty() {
-        statements.push(current.trim().to_string());
-    }
-    statements
-}
-
-/// The REPL's client mode: forward every statement and meta command to
-/// a `sqlsem-server`, print each response block. Returns on `\q`, EOF,
-/// or a dropped connection.
-fn client_loop(mut client: Client, interactive: bool) {
-    println!("{}", client.greeting());
+/// The read loop both modes share. A `\…` line (outside a statement) and
+/// every complete `;`-terminated buffer — statements may span lines — is
+/// handed to `submit`, which returns `false` to end the session.
+fn read_loop(mut submit: impl FnMut(&str) -> bool) {
     let stdin = io::stdin();
+    let interactive = stdin.is_terminal();
     let mut buffer = String::new();
     let prompt = |buffer: &str| {
         if interactive {
@@ -213,14 +125,7 @@ fn client_loop(mut client: Client, interactive: bool) {
         let line = line.expect("stdin is readable");
         let trimmed = line.trim();
         if buffer.is_empty() && trimmed.starts_with('\\') {
-            match client.send(trimmed) {
-                Ok(reply) => println!("{reply}"),
-                Err(e) => {
-                    eprintln!("connection lost: {e}");
-                    return;
-                }
-            }
-            if trimmed == "\\q" {
+            if !submit(trimmed) {
                 return;
             }
             prompt(&buffer);
@@ -231,22 +136,43 @@ fn client_loop(mut client: Client, interactive: bool) {
         }
         buffer.push_str(&line);
         buffer.push('\n');
-        if !terminated(&buffer) {
+        // Keep reading until the statement is terminated — a `;` inside
+        // an open string literal does not count.
+        if statements(&buffer).is_none() {
             prompt(&buffer);
             continue;
         }
-        for statement in split_statements(&buffer) {
-            match client.send(&statement) {
-                Ok(reply) => println!("{reply}"),
-                Err(e) => {
-                    eprintln!("connection lost: {e}");
-                    return;
-                }
-            }
+        if !submit(&buffer) {
+            return;
         }
         buffer.clear();
         prompt(&buffer);
     }
+}
+
+/// The REPL's client mode: forward every statement and meta command to
+/// a `sqlsem-server`, print each response block. Ends on `\q`, EOF, or
+/// a dropped connection.
+fn client_mode(mut client: Client) {
+    println!("{}", client.greeting());
+    read_loop(|input| {
+        // The protocol is one statement per line: `A; B` is two sends.
+        let lines = if input.starts_with('\\') {
+            vec![input.to_string()]
+        } else {
+            statements(input).unwrap_or_default()
+        };
+        for line in lines {
+            match client.send(&line) {
+                Ok(reply) => println!("{reply}"),
+                Err(e) => {
+                    eprintln!("connection lost: {e}");
+                    return false;
+                }
+            }
+        }
+        input != "\\q"
+    });
 }
 
 fn main() {
@@ -261,10 +187,7 @@ fn main() {
                 std::process::exit(2);
             });
             match Client::connect(&addr) {
-                Ok(client) => {
-                    client_loop(client, io::stdin().is_terminal());
-                    return;
-                }
+                Ok(client) => return client_mode(client),
                 Err(e) => {
                     eprintln!("cannot connect to {addr}: {e}");
                     std::process::exit(1);
@@ -292,9 +215,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let stdin = io::stdin();
-    let interactive = stdin.is_terminal();
-    if interactive {
+    if io::stdin().is_terminal() {
         println!(
             "sqlsem REPL — dialect {}, logic {}, backend {}. \\q to quit.",
             session.dialect(),
@@ -302,38 +223,11 @@ fn main() {
             session.backend()
         );
     }
-
-    // Statements may span lines; accumulate until a terminating `;`.
-    let mut buffer = String::new();
-    let prompt = |buffer: &str| {
-        if interactive {
-            print!("{}", if buffer.is_empty() { "sql> " } else { "  -> " });
-            io::stdout().flush().ok();
+    read_loop(|input| {
+        if let Some(command) = input.strip_prefix('\\') {
+            return meta_command(&mut session, command);
         }
-    };
-    prompt(&buffer);
-    for line in stdin.lock().lines() {
-        let line = line.expect("stdin is readable");
-        let trimmed = line.trim();
-        if buffer.is_empty() && trimmed.starts_with('\\') {
-            if !meta_command(&mut session, trimmed) {
-                return;
-            }
-            prompt(&buffer);
-            continue;
-        }
-        if !interactive && !trimmed.is_empty() {
-            println!("sql> {trimmed}");
-        }
-        buffer.push_str(&line);
-        buffer.push('\n');
-        // Keep reading until the statement is terminated — a `;` inside
-        // an open string literal does not count.
-        if !terminated(&buffer) {
-            prompt(&buffer);
-            continue;
-        }
-        match session.run_script(&buffer) {
+        match session.run_script(input) {
             Ok(results) => {
                 for result in results {
                     println!("{result}");
@@ -341,7 +235,6 @@ fn main() {
             }
             Err(e) => println!("{e}"),
         }
-        buffer.clear();
-        prompt(&buffer);
-    }
+        true
+    });
 }

@@ -143,3 +143,57 @@ fn empty_inputs_keep_deferred_errors_deferred() {
     assert_coincides(&q, &db, "deferred ambiguity over empty join");
     assert!(Engine::new(&db).execute(&q).unwrap().is_empty());
 }
+
+#[test]
+fn user_predicates_anywhere_in_a_subplan_block_caching() {
+    // A user predicate is an opaque host function, so *how often* it is
+    // called is observable. An uncorrelated subquery that invokes one
+    // must therefore re-run per outer row on every backend, exactly as
+    // the specification evaluates it — wherever in the subquery the
+    // predicate sits, not just in its WHERE.
+    use sqlsem::core::PredicateRegistry;
+    use sqlsem::session::{Backend, Session};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    let positions = [
+        ("WHERE", "SELECT S.A FROM S WHERE tick(S.A)"),
+        ("CASE select item", "SELECT CASE WHEN tick(S.A) THEN S.A ELSE S.A END AS A FROM S"),
+        ("HAVING", "SELECT S.A FROM S GROUP BY S.A HAVING tick(S.A)"),
+        (
+            "CASE over a grouping key",
+            "SELECT CASE WHEN tick(S.A) THEN S.A ELSE S.A END AS A FROM S GROUP BY S.A",
+        ),
+    ];
+    for (position, subquery) in positions {
+        let sql = format!("SELECT R.A FROM R WHERE R.A IN ({subquery})");
+        let mut counts = Vec::new();
+        for backend in [
+            Backend::SpecInterpreter,
+            Backend::NaiveEngine,
+            Backend::OptimizedEngine,
+            Backend::VectorizedEngine,
+        ] {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let mut preds = PredicateRegistry::new();
+            let counter = Arc::clone(&calls);
+            preds.register("tick", 1, move |_| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                Ok(true)
+            });
+            let mut session =
+                Session::builder().with_backend(backend).with_predicates(preds).build();
+            session
+                .run_script(
+                    "CREATE TABLE R (A); CREATE TABLE S (A); \
+                     INSERT INTO R VALUES (1), (2), (3); INSERT INTO S VALUES (1), (2);",
+                )
+                .unwrap();
+            let out = session.execute(&sql).unwrap();
+            assert_eq!(out.rows().unwrap().len(), 2, "{position} [{backend}]");
+            counts.push((backend, calls.load(Ordering::Relaxed)));
+        }
+        // 3 outer rows × 2 inner rows (two groups, for the grouped ones).
+        assert!(counts.iter().all(|(_, n)| *n == 6), "tick in {position}: calls {counts:?}");
+    }
+}

@@ -235,6 +235,41 @@ fn prepared_statements_survive_ddl_and_see_new_data() {
 }
 
 #[test]
+fn prepared_plans_do_not_outlive_the_data_that_justified_them() {
+    // The optimizer's totality proofs read the stored values: with only
+    // integers in R.A, `R.A < 5` is provably error-free and an index
+    // range scan may serve it. One string later the comparison raises,
+    // and a plan cached before the INSERT must not keep answering — on
+    // every backend the prepared verdict is the fresh verdict, whether
+    // the connection owns its database or shares it.
+    let script = "CREATE TABLE R (A); INSERT INTO R VALUES (1), (2), (9); \
+                  CREATE INDEX r_a ON R (A);";
+    let sql = "SELECT R.A FROM R WHERE R.A < 5";
+    for backend in Backend::ALL {
+        let shared = sqlsem::session::SharedDatabase::in_memory();
+        let connections = [
+            ("owned", Session::builder().with_backend(backend).build()),
+            ("shared", Session::builder().with_backend(backend).with_shared(&shared).build()),
+        ];
+        for (kind, mut s) in connections {
+            s.run_script(script).unwrap();
+            let mut stmt = s.prepare(sql).unwrap();
+            let before = s.execute_prepared(&mut stmt).unwrap();
+            assert_eq!(before.tag(), "SELECT 2", "{kind} [{backend}]");
+            s.execute("INSERT INTO R VALUES ('x')").unwrap();
+            let prepared = s.execute_prepared(&mut stmt);
+            let fresh = s.execute(sql);
+            assert!(fresh.is_err(), "{kind} [{backend}]: {fresh:?}");
+            assert_eq!(
+                prepared.as_ref().map_err(ToString::to_string),
+                fresh.as_ref().map_err(ToString::to_string),
+                "{kind} [{backend}]"
+            );
+        }
+    }
+}
+
+#[test]
 fn prepared_statements_do_not_leak_across_sessions() {
     // Two sessions whose epoch counters coincide but whose schemas
     // transpose R's columns: a handle prepared on A must re-prepare on
