@@ -22,8 +22,8 @@
 //!
 //! Writers also assert read-your-writes (their own private table holds
 //! exactly the rows they wrote) and that a statement rejected by the
-//! commit queue (insert into a missing table) surfaces as the same
-//! typed error an owned session raises.
+//! commit queue (insert into a missing table) surfaces as a typed error
+//! naming the table.
 //!
 //! ```text
 //! cargo run --release -p sqlsem-bench --bin concurrent_gauntlet -- \
@@ -62,8 +62,7 @@ fn connect(shared: &SharedDatabase, d: Dialect, l: LogicMode, backend: Backend) 
         .with_dialect(d)
         .with_logic(l)
         .with_backend(backend)
-        .try_build()
-        .expect("shared connections open no storage")
+        .build()
 }
 
 /// One writer: a private table it fully owns (read-your-writes), paired
@@ -88,8 +87,8 @@ fn writer(
         }
     }
     conn.execute(&format!("CREATE INDEX {table}_idx ON {table} (A)")).expect("CREATE INDEX");
-    // A rejected op surfaces as the same typed error an owned session
-    // raises, and must not poison the queue.
+    // A rejected op surfaces as a typed error and must not poison the
+    // queue.
     let err = conn.execute("INSERT INTO NO_SUCH_TABLE VALUES (1)").expect_err("must be rejected");
     assert!(err.to_string().contains("NO_SUCH_TABLE"), "unexpected rejection: {err}");
     // Read-your-writes: the writer's next statement observes every one

@@ -18,14 +18,18 @@
 //! * The client sends **one statement per line** (a trailing `;` is
 //!   tolerated). Lines starting with `\` are session meta commands —
 //!   the set [`Connection::meta_command`] interprets, the same one the
-//!   REPL speaks: `\d` (schema and indexes),
+//!   REPL speaks: `\d` (schema and indexes; over a durable database
+//!   also each table's pages and rows in the last checkpoint and the WAL
+//!   bytes logged since),
 //!   `\dialect standard|postgresql|oracle`,
 //!   `\logic 3vl|2vl|2vl-syntactic-eq`,
 //!   `\backend spec|naive|optimized|vectorized|adaptive`,
 //!   `\batchsize N`, `\threads N`, `\q` (disconnect) — plus the
 //!   server's own `\stats` (snapshot version and this connection's
 //!   statement counts). Each client picks its own configuration without
-//!   affecting anyone else.
+//!   affecting anyone else. A line is capped at 1 MiB: a client that
+//!   sends more without a newline gets one error block and is
+//!   disconnected.
 //! * Every line is answered with exactly one response block: zero or
 //!   more non-empty payload lines followed by one **empty line** (the
 //!   block terminator). Query results render as psql-style tables with
@@ -70,8 +74,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::io::{self, BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -84,6 +88,10 @@ use sqlsem_session::{Backend, SessionBuilder, SharedDatabase};
 /// the shutdown flag. Bounds how stale a shutdown request can go
 /// unnoticed.
 const POLL_INTERVAL: Duration = Duration::from_millis(200);
+
+/// The longest statement line (newline included) a client may send;
+/// past it the client gets one error block and is disconnected.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Configures and binds a [`Server`].
 #[derive(Clone, Debug, Default)]
@@ -289,8 +297,7 @@ fn serve_client(
         .with_dialect(template.dialect)
         .with_logic(template.logic)
         .with_backend(template.backend)
-        .try_build()
-        .expect("a shared connection opens no storage");
+        .build();
     write_block(
         &mut out,
         &format!(
@@ -306,11 +313,22 @@ fn serve_client(
     loop {
         // A timed-out read may leave a partial line in the buffer
         // (`read_line` keeps everything it read so far), so the buffer
-        // is only cleared after a complete line is handled.
-        match reader.read_line(&mut line) {
+        // is only cleared after a complete line is handled, and capped.
+        if line.len() >= MAX_LINE_BYTES {
+            let refusal =
+                format!("statement line exceeds {MAX_LINE_BYTES} bytes; closing the connection");
+            write_block(&mut out, &refusal)?;
+            // Closing with unread input resets the connection, which can
+            // destroy the refusal unread: half-close, drain a bounded tail.
+            out.shutdown(Shutdown::Write)?;
+            let _ = io::copy(&mut reader.take(MAX_LINE_BYTES as u64), &mut io::sink());
+            return Ok(());
+        }
+        let budget = (MAX_LINE_BYTES - line.len()) as u64;
+        match reader.by_ref().take(budget).read_line(&mut line) {
             Ok(0) => return Ok(()), // client hung up
             Ok(_) if line.ends_with('\n') => {}
-            Ok(_) => continue, // EOF will follow with the partial line
+            Ok(_) => continue, // the cap (checked above) or EOF follows
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if stop.load(Ordering::SeqCst) {
                     return write_block(&mut out, "server shutting down");

@@ -16,7 +16,9 @@
 //! the chosen address is printed on startup). With `--storage DIR` the
 //! database is durable: the directory is recovered on startup and every
 //! commit batch is fsynced to its WAL before any writer in the batch is
-//! acknowledged.
+//! acknowledged, and `\d` also shows each table's pages and rows in the
+//! last checkpoint plus the WAL bytes logged since — the same reply the
+//! REPL gives with `--storage DIR`.
 
 use sqlsem_server::ServerBuilder;
 use sqlsem_session::SharedDatabase;

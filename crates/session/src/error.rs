@@ -59,14 +59,6 @@ pub enum SqlsemError {
         /// Span of the offending statement within `sql`.
         span: Span,
     },
-    /// The session was configured inconsistently — e.g. a shared
-    /// database combined with a private storage directory (durability
-    /// for a [`SharedDatabase`](crate::SharedDatabase) is configured
-    /// when the shared handle is opened, not per connection).
-    Config {
-        /// What was inconsistent.
-        message: String,
-    },
     /// The durable storage layer failed: an I/O error, a corrupt
     /// checkpoint file, or a WAL record that no longer replays. Carries
     /// the rendered storage error — the underlying `io::Error` is
@@ -97,14 +89,6 @@ impl SqlsemError {
         SqlsemError::Eval { source, sql: sql.into(), span }
     }
 
-    pub(crate) fn storage(source: impl fmt::Display) -> Self {
-        SqlsemError::Storage { message: source.to_string() }
-    }
-
-    pub(crate) fn config(message: impl Into<String>) -> Self {
-        SqlsemError::Config { message: message.into() }
-    }
-
     /// The SQL source the session was executing when the error arose
     /// (empty for storage errors, which may arise outside any
     /// statement — at open or checkpoint time).
@@ -114,7 +98,7 @@ impl SqlsemError {
             | SqlsemError::Annotate { sql, .. }
             | SqlsemError::Schema { sql, .. }
             | SqlsemError::Eval { sql, .. } => sql,
-            SqlsemError::Storage { .. } | SqlsemError::Config { .. } => "",
+            SqlsemError::Storage { .. } => "",
         }
     }
 
@@ -125,7 +109,7 @@ impl SqlsemError {
             | SqlsemError::Annotate { span, .. }
             | SqlsemError::Schema { span, .. }
             | SqlsemError::Eval { span, .. } => *span,
-            SqlsemError::Storage { .. } | SqlsemError::Config { .. } => Span::new(0, 0),
+            SqlsemError::Storage { .. } => Span::new(0, 0),
         }
     }
 
@@ -169,7 +153,6 @@ impl fmt::Display for SqlsemError {
                 self.write_statement(f)
             }
             SqlsemError::Storage { message } => write!(f, "storage error: {message}"),
-            SqlsemError::Config { message } => write!(f, "configuration error: {message}"),
         }
     }
 }
@@ -198,7 +181,7 @@ impl std::error::Error for SqlsemError {
             SqlsemError::Annotate { source, .. } => Some(source),
             SqlsemError::Schema { source, .. } => Some(source),
             SqlsemError::Eval { source, .. } => Some(source),
-            SqlsemError::Storage { .. } | SqlsemError::Config { .. } => None,
+            SqlsemError::Storage { .. } => None,
         }
     }
 }

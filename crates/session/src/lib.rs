@@ -4,7 +4,7 @@
 //!
 //! The paper's value is that *one* formal semantics stands behind many
 //! consumers — validation, translation, optimization. This crate gives
-//! that idea an API: a [`Session`] owns a database, is configured once
+//! that idea an API: a [`Session`] holds a database, is configured once
 //! with a dialect (§4), a logic mode (§6) and an execution
 //! [`Backend`], and from then on speaks SQL **text** end to end —
 //! including the DDL/DML statement fragment (`CREATE TABLE`,
@@ -69,14 +69,17 @@
 //!
 //! [`Session`] is an alias for [`Connection`]: the cheap per-caller
 //! object carrying configuration (dialect × logic × backend) and the
-//! prepared-statement identity, layered over either an **owned**
-//! database (the historical single-caller mode above) or a
-//! [`SharedDatabase`] — a versioned MVCC cell many connections use
-//! concurrently. Readers evaluate against lock-free `Arc<Database>`
-//! snapshots; every DDL/DML statement serializes through a group-commit
-//! queue that WAL-logs and fsyncs each batch once, then publishes one
-//! new snapshot (see [`SharedDatabase`] and `sqlsem-server` for the TCP
-//! front end):
+//! prepared-statement identity, layered over a [`SharedDatabase`] — a
+//! versioned MVCC cell many connections use concurrently. Readers
+//! evaluate against lock-free `Arc<Database>` snapshots; every DDL/DML
+//! statement serializes through a group-commit queue that WAL-logs and
+//! fsyncs each batch once (when the database is durable), then
+//! publishes one new snapshot (see [`SharedDatabase`] and
+//! `sqlsem-server` for the TCP front end). [`Session::new`] and
+//! [`SessionBuilder::with_database`] simply make a fresh in-memory
+//! [`SharedDatabase`] whose first caller is the new connection;
+//! `clone` adds one more caller, and [`Connection::fork`] is the one
+//! way to get a divergent copy:
 //!
 //! ```
 //! use sqlsem_session::SharedDatabase;
@@ -97,16 +100,15 @@ mod meta;
 mod shared;
 
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use sqlsem_core::{
-    Database, Dialect, EvalError, Evaluator, LogicMode, Name, PredicateRegistry, Query, Row,
-    Schema, Span, Table, Value,
+    Database, Dialect, EvalError, Evaluator, LogicMode, Name, PredicateRegistry, Row, Schema, Span,
+    Table, Value,
 };
 use sqlsem_engine::{Engine, Prepared, DEFAULT_BATCH_SIZE};
 use sqlsem_parser::{annotate_statement, parse_script, parse_statement, Statement};
-use sqlsem_storage::{Storage, WalOp, DEFAULT_CHECKPOINT_THRESHOLD};
+use sqlsem_storage::WalOp;
 
 pub use error::SqlsemError;
 pub use shared::SharedDatabase;
@@ -132,11 +134,22 @@ pub struct SessionBuilder {
     logic: LogicMode,
     backend: Backend,
     preds: PredicateRegistry,
-    db: Option<Database>,
     batch_size: Option<usize>,
     threads: usize,
-    storage: Option<PathBuf>,
-    shared: Option<SharedDatabase>,
+    /// Where the connection's database comes from; `None` is an empty
+    /// schema. The last of `with_database`/`with_schema`/`with_shared`
+    /// wins.
+    source: Option<Source>,
+}
+
+/// Where a [`SessionBuilder`]'s connection gets its [`SharedDatabase`].
+#[derive(Clone, Debug)]
+enum Source {
+    /// A fresh in-memory one seeded with this database — made anew by
+    /// every [`SessionBuilder::build`], so two builds never share.
+    Seed(Database),
+    /// An existing one.
+    Shared(SharedDatabase),
 }
 
 impl SessionBuilder {
@@ -196,123 +209,46 @@ impl SessionBuilder {
         self
     }
 
-    /// Seeds the session with an existing database (schema and data) —
-    /// the bridge from the direct-crate-access flow.
+    /// Seeds the session with an existing database (schema and data):
+    /// the connection is the first caller of a fresh in-memory
+    /// [`SharedDatabase`] over it — the bridge from the
+    /// direct-crate-access flow.
     #[must_use]
     pub fn with_database(mut self, db: Database) -> Self {
-        self.db = Some(db);
+        self.source = Some(Source::Seed(db));
         self
     }
 
     /// Seeds the session with a schema over which every table is empty.
     #[must_use]
-    pub fn with_schema(mut self, schema: Schema) -> Self {
-        self.db = Some(Database::new(schema));
-        self
+    pub fn with_schema(self, schema: Schema) -> Self {
+        self.with_database(Database::new(schema))
     }
 
-    /// Backs the session with the durable storage engine rooted at
-    /// `dir` (created if absent): every DDL/DML statement is logged to
-    /// the write-ahead log and fsynced before it is acknowledged, and
-    /// reopening the same directory recovers the last committed state —
-    /// checkpoint plus WAL replay, torn tail truncated.
-    ///
-    /// When the directory already holds a database, that recovered
-    /// state wins and any [`SessionBuilder::with_database`] /
-    /// [`SessionBuilder::with_schema`] seed is ignored; a *fresh*
-    /// directory is seeded from the provided database (if any).
-    ///
-    /// ```no_run
-    /// use sqlsem_session::Session;
-    ///
-    /// let dir = std::env::temp_dir().join("sqlsem-quickstart");
-    /// let mut s = Session::builder().with_storage(&dir).try_build().unwrap();
-    /// s.execute("CREATE TABLE R (A)").unwrap();
-    /// s.execute("INSERT INTO R VALUES (1), (2)").unwrap();
-    /// s.execute("CREATE INDEX r_a_idx ON R (A)").unwrap();
-    /// drop(s); // or crash —
-    /// let mut s = Session::builder().with_storage(&dir).try_build().unwrap();
-    /// let n = s.execute("SELECT COUNT(*) AS n FROM R WHERE R.A = 1").unwrap();
-    /// assert_eq!(n.rows().unwrap().len(), 1); // recovered, index and all
-    /// ```
-    #[must_use]
-    pub fn with_storage(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.storage = Some(dir.into());
-        self
-    }
-
-    /// Connects the session to an existing [`SharedDatabase`] instead
-    /// of an owned one: reads evaluate against lock-free snapshots of
-    /// the shared state, and every DDL/DML statement serializes through
-    /// its commit queue. Mutually exclusive with
-    /// [`SessionBuilder::with_storage`] (durability belongs to
-    /// [`SharedDatabase::open`]) and with
-    /// [`SessionBuilder::with_database`] /
-    /// [`SessionBuilder::with_schema`] (a shared database is seeded
-    /// when it is created) — [`SessionBuilder::try_build`] reports the
-    /// conflict as [`SqlsemError::Config`].
+    /// Connects the session to an existing [`SharedDatabase`] — possibly
+    /// durable ([`SharedDatabase::open`]), possibly with other callers
+    /// — instead of a fresh one. Reads evaluate against lock-free
+    /// snapshots of the shared state, and every DDL/DML statement
+    /// serializes through its commit queue.
     #[must_use]
     pub fn with_shared(mut self, shared: &SharedDatabase) -> Self {
-        self.shared = Some(shared.clone());
+        self.source = Some(Source::Shared(shared.clone()));
         self
     }
 
     /// Finishes the builder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`SessionBuilder::with_storage`] was given a directory
-    /// that cannot be opened or recovered — use
-    /// [`SessionBuilder::try_build`] to handle storage failures.
     pub fn build(self) -> Session {
-        self.try_build().expect("session storage opens")
-    }
-
-    /// Finishes the builder, surfacing storage failures as
-    /// [`SqlsemError::Storage`] instead of panicking. Infallible when
-    /// no storage directory was configured.
-    pub fn try_build(self) -> Result<Session, SqlsemError> {
-        let handle = match self.shared {
-            Some(shared) => {
-                if self.storage.is_some() {
-                    return Err(SqlsemError::config(
-                        "with_shared and with_storage are mutually exclusive: durability for \
-                         a shared database is configured by SharedDatabase::open",
-                    ));
-                }
-                if self.db.is_some() {
-                    return Err(SqlsemError::config(
-                        "with_shared and with_database/with_schema are mutually exclusive: \
-                         a shared database is seeded when it is created",
-                    ));
-                }
-                let (snap, version) = shared.snapshot_versioned();
-                DbHandle::Shared { shared, snap, version, pinned: false }
-            }
-            None => {
-                let (db, storage) = match self.storage {
-                    None => (self.db.unwrap_or_else(|| Database::new(Schema::default())), None),
-                    Some(dir) => {
-                        let (mut storage, recovered) =
-                            Storage::open(&dir).map_err(SqlsemError::storage)?;
-                        let fresh = recovered.schema().is_empty() && recovered.indexes().is_empty();
-                        let db = match (fresh, self.db) {
-                            // A fresh store adopts (and persists) the seed.
-                            (true, Some(seed)) => {
-                                storage.save_all(&seed).map_err(SqlsemError::storage)?;
-                                seed
-                            }
-                            // Recovered durable state always wins over a seed.
-                            (_, _) => recovered,
-                        };
-                        (db, Some(storage))
-                    }
-                };
-                DbHandle::Owned { db, storage }
-            }
+        let shared = match self.source {
+            None => SharedDatabase::in_memory(),
+            Some(Source::Seed(db)) => SharedDatabase::new(db),
+            Some(Source::Shared(shared)) => shared,
         };
-        Ok(Connection {
-            handle,
+        let (snap, version) = shared.snapshot_versioned();
+        Connection {
+            shared,
+            snap,
+            version,
+            pinned: false,
             dialect: self.dialect,
             logic: self.logic,
             backend: self.backend,
@@ -321,7 +257,7 @@ impl SessionBuilder {
             threads: self.threads,
             id: NEXT_SESSION_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             epoch: 0,
-        })
+        }
     }
 }
 
@@ -422,9 +358,9 @@ impl fmt::Display for StatementResult {
 /// and [`Session::execute_prepared`] transparently re-prepares from the
 /// original SQL when either differs. The epoch moves whenever anything a
 /// cached plan depends on may have moved — a dialect/logic/backend
-/// switch, **any** DDL or DML statement through this connection, and, on
-/// a shared database, every newer snapshot the connection picks up (a
-/// commit from any connection). The rule is deliberately coarse: plans
+/// switch, **any** DDL or DML statement through this connection, and
+/// every newer snapshot the connection picks up (a commit from any
+/// connection). The rule is deliberately coarse: plans
 /// are positional, so they depend on the schema, and the optimizer's
 /// totality proofs are data-seeded, so even a plain `INSERT` can
 /// invalidate a cached plan (an `IndexScan` chosen because a column held
@@ -458,43 +394,21 @@ static NEXT_SESSION_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::Atomic
 /// call sites (and the harnesses built on them) compile unchanged.
 pub type Session = Connection;
 
-/// How a connection reaches its database.
-#[derive(Debug)]
-enum DbHandle {
-    /// The connection privately owns the database — the historical
-    /// single-caller `Session` — optionally backed by a private durable
-    /// store.
-    Owned {
-        /// The owned database.
-        db: Database,
-        /// The durable store, when configured via
-        /// [`SessionBuilder::with_storage`]: every mutating statement
-        /// is WAL-logged and fsynced before it is acknowledged.
-        storage: Option<Storage>,
-    },
-    /// The connection reads lock-free snapshots of a [`SharedDatabase`]
-    /// and writes through its commit queue.
-    Shared {
-        /// The shared cell.
-        shared: SharedDatabase,
-        /// The snapshot statements currently evaluate against
-        /// (refreshed at every statement unless pinned).
-        snap: Arc<Database>,
-        /// The version of `snap`.
-        version: u64,
-        /// `true` while [`Connection::pin_snapshot`] holds reads at
-        /// `snap`.
-        pinned: bool,
-    },
-}
-
 /// A stateful SQL connection: one object that executes SQL text under
-/// a fixed dialect × logic mode × backend configuration, over either
-/// an owned [`Database`] or a [`SharedDatabase`]. See the
-/// [crate docs](crate) for examples.
+/// a fixed dialect × logic mode × backend configuration, reading
+/// lock-free snapshots of a [`SharedDatabase`] and writing through its
+/// commit queue. See the [crate docs](crate) for examples.
 #[derive(Debug)]
 pub struct Connection {
-    handle: DbHandle,
+    /// The database this connection is one caller of.
+    shared: SharedDatabase,
+    /// The snapshot statements currently evaluate against (refreshed at
+    /// every statement unless pinned).
+    snap: Arc<Database>,
+    /// The version of `snap`.
+    version: u64,
+    /// `true` while [`Connection::pin_snapshot`] holds reads at `snap`.
+    pinned: bool,
     dialect: Dialect,
     logic: LogicMode,
     backend: Backend,
@@ -515,29 +429,12 @@ pub struct Connection {
 }
 
 impl Clone for Connection {
-    /// What a clone means depends on how the connection reaches its
-    /// database:
-    ///
-    /// * **Shared**: the clone is a new connection over the *same*
-    ///   [`SharedDatabase`] — same configuration, fresh identity. Both
-    ///   see each other's committed writes; this is the natural "one
-    ///   more caller" operation.
-    /// * **Owned**: the historical fork semantics — an independent
-    ///   in-memory deep copy whose schema can diverge from here on,
-    ///   never sharing (or reopening) the original's storage directory.
-    ///   This silent fork is **deprecated as a `clone` meaning**; new
-    ///   code should say [`Connection::fork`], which spells the copy
-    ///   out (and also works on shared connections, detaching a private
-    ///   copy of the current snapshot).
+    /// One more caller: a new connection over the *same*
+    /// [`SharedDatabase`] — same configuration, fresh identity, its own
+    /// unpinned snapshot. Both see each other's committed writes;
+    /// [`Connection::fork`] is the divergent copy.
     fn clone(&self) -> Self {
-        match &self.handle {
-            DbHandle::Owned { .. } => self.fork(),
-            DbHandle::Shared { shared, .. } => {
-                let shared = shared.clone();
-                let (snap, version) = shared.snapshot_versioned();
-                self.fresh_with(DbHandle::Shared { shared, snap, version, pinned: false })
-            }
-        }
+        self.fresh_with(self.shared.clone())
     }
 }
 
@@ -559,40 +456,35 @@ impl Connection {
         SessionBuilder::new()
     }
 
-    /// An independent in-memory deep copy of this connection's current
-    /// database view (for a shared connection: the current snapshot),
-    /// with the same configuration and a fresh identity. The fork owns
-    /// its database — it never shares the original's storage directory
-    /// or shared cell, and the two schemas can diverge from here on.
+    /// A divergent copy: a connection with the same configuration and a
+    /// fresh identity over a fresh in-memory [`SharedDatabase`] seeded
+    /// with this connection's current snapshot. It never shares the
+    /// original's cell or storage directory, and the two schemas can
+    /// diverge from here on.
     pub fn fork(&self) -> Connection {
-        self.fresh_with(DbHandle::Owned { db: self.database().clone(), storage: None })
+        self.fresh_with(SharedDatabase::new(self.database().clone()))
     }
 
-    /// A connection with this one's configuration, a fresh identity,
-    /// and the given handle.
-    fn fresh_with(&self, handle: DbHandle) -> Connection {
-        Connection {
-            handle,
+    /// A connection with this one's configuration and a fresh identity
+    /// over `shared`.
+    fn fresh_with(&self, shared: SharedDatabase) -> Connection {
+        SessionBuilder {
             dialect: self.dialect,
             logic: self.logic,
             backend: self.backend,
             preds: self.preds.clone(),
-            batch_size: self.batch_size,
+            batch_size: Some(self.batch_size),
             threads: self.threads,
-            id: NEXT_SESSION_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            epoch: 0,
+            source: Some(Source::Shared(shared)),
         }
+        .build()
     }
 
-    /// The database this connection currently reads: the owned database,
-    /// or — on a shared connection — the snapshot as of the last
-    /// statement (each statement refreshes it unless
+    /// The snapshot this connection currently reads: the shared state
+    /// as of the last statement (each statement refreshes it unless
     /// [`Connection::pin_snapshot`] is in effect).
     pub fn database(&self) -> &Database {
-        match &self.handle {
-            DbHandle::Owned { db, .. } => db,
-            DbHandle::Shared { snap, .. } => snap,
-        }
+        &self.snap
     }
 
     /// The current schema.
@@ -600,63 +492,47 @@ impl Connection {
         self.database().schema()
     }
 
-    /// The shared database this connection participates in, when it was
-    /// built with [`SessionBuilder::with_shared`] (or
-    /// [`SharedDatabase::connect`]).
-    pub fn shared_database(&self) -> Option<&SharedDatabase> {
-        match &self.handle {
-            DbHandle::Owned { .. } => None,
-            DbHandle::Shared { shared, .. } => Some(shared),
-        }
+    /// The shared database this connection is one caller of.
+    pub fn shared_database(&self) -> &SharedDatabase {
+        &self.shared
     }
 
-    /// Freezes reads at the current snapshot of the shared database:
-    /// until [`Connection::unpin_snapshot`], statements keep evaluating
+    /// Freezes reads at the current snapshot: until
+    /// [`Connection::unpin_snapshot`], statements keep evaluating
     /// against this exact version even as other connections commit.
     /// Writes still go through the commit queue (they are just not
     /// observed). The differential harnesses pin around each read so
-    /// the spec interpreter can be run on the *same* value. A no-op on
-    /// owned connections, whose database only changes under their own
-    /// hands.
+    /// the spec interpreter can be run on the *same* value.
     pub fn pin_snapshot(&mut self) {
         self.refresh();
-        if let DbHandle::Shared { pinned, .. } = &mut self.handle {
-            *pinned = true;
-        }
+        self.pinned = true;
     }
 
     /// Releases [`Connection::pin_snapshot`]: the next statement sees
     /// the latest committed state again.
     pub fn unpin_snapshot(&mut self) {
-        if let DbHandle::Shared { pinned, .. } = &mut self.handle {
-            *pinned = false;
-        }
+        self.pinned = false;
         self.refresh();
     }
 
     /// The version of the snapshot this connection currently reads
-    /// (`0` on owned connections, whose database is unversioned).
+    /// (bumped once per committed batch of its [`SharedDatabase`]).
     pub fn snapshot_version(&self) -> u64 {
-        match &self.handle {
-            DbHandle::Owned { .. } => 0,
-            DbHandle::Shared { version, .. } => *version,
-        }
+        self.version
     }
 
-    /// Takes the latest published snapshot, unless reads are pinned or
-    /// the database is owned. A newer snapshot is a different database:
-    /// it moves the epoch.
+    /// Takes the latest published snapshot, unless reads are pinned. A
+    /// newer snapshot is a different database: it moves the epoch.
     fn refresh(&mut self) {
-        if let DbHandle::Shared { shared, snap, version, pinned } = &mut self.handle {
-            if !*pinned {
-                let (s, v) = shared.snapshot_versioned();
-                if v != *version {
-                    self.epoch += 1;
-                }
-                *snap = s;
-                *version = v;
-            }
+        if self.pinned {
+            return;
         }
+        let (snap, version) = self.shared.snapshot_versioned();
+        if version != self.version {
+            self.epoch += 1;
+        }
+        self.snap = snap;
+        self.version = version;
     }
 
     /// The dialect in effect.
@@ -686,29 +562,11 @@ impl Connection {
         self.threads
     }
 
-    /// The durable store backing this session, when one was configured
-    /// via [`SessionBuilder::with_storage`] — exposes the directory,
-    /// WAL length and per-table page/row statistics (`\d` in the REPL).
-    /// `None` on shared connections, whose durability lives with the
-    /// [`SharedDatabase`].
-    pub fn storage(&self) -> Option<&Storage> {
-        match &self.handle {
-            DbHandle::Owned { storage, .. } => storage.as_ref(),
-            DbHandle::Shared { .. } => None,
-        }
-    }
-
-    /// Forces a checkpoint of the durable store (compacting the WAL
-    /// into the paged checkpoint file). A no-op for in-memory sessions;
-    /// on a shared connection, checkpoints the shared store.
+    /// Forces a checkpoint of the shared database's durable store
+    /// (compacting the WAL into the paged checkpoint file). A no-op for
+    /// in-memory databases.
     pub fn checkpoint(&mut self) -> Result<(), SqlsemError> {
-        match &mut self.handle {
-            DbHandle::Owned { db, storage: Some(s) } => {
-                s.checkpoint(db).map_err(SqlsemError::storage)
-            }
-            DbHandle::Owned { storage: None, .. } => Ok(()),
-            DbHandle::Shared { shared, .. } => shared.checkpoint(),
-        }
+        self.shared.checkpoint()
     }
 
     /// Switches the dialect. Invalidates prepared statements (they
@@ -832,33 +690,6 @@ impl Connection {
         }
     }
 
-    /// Executes an already-annotated query through the session's
-    /// backend, skipping SQL text — a convenience for callers that hold
-    /// annotated ASTs (the direct-crate-access flow). The §4 harness
-    /// and the optimizer gauntlet deliberately do *not* use this: they
-    /// feed printed SQL to [`Session::execute`] so the text pipeline is
-    /// under test too.
-    pub fn execute_query(&self, query: &Query) -> Result<Table, SqlsemError> {
-        self.backend_execute(query).map_err(|e| {
-            let sql = sqlsem_parser::to_sql(query, self.dialect);
-            let span = Span::of(&sql);
-            SqlsemError::eval(e, sql, span)
-        })
-    }
-
-    /// `EXPLAIN` for an already-annotated query: the execution plan the
-    /// session's backend would use.
-    pub fn explain_query(&self, query: &Query) -> Result<String, SqlsemError> {
-        match self.backend {
-            Backend::SpecInterpreter => Ok(Self::spec_explain(query, self.dialect)),
-            _ => self.engine().explain(query).map_err(|e| {
-                let sql = sqlsem_parser::to_sql(query, self.dialect);
-                let span = Span::of(&sql);
-                SqlsemError::eval(e, sql, span)
-            }),
-        }
-    }
-
     // -- internals ---------------------------------------------------------
 
     /// The engine configured for this session (used by the engine
@@ -879,31 +710,10 @@ impl Connection {
             .with_threads(self.threads)
     }
 
-    /// Runs a query through the session's backend: the denotational
-    /// interpreter for [`Backend::SpecInterpreter`], [`Session::engine`]
-    /// for every other one.
-    fn backend_execute(&self, query: &Query) -> Result<Table, EvalError> {
-        match self.backend {
-            Backend::SpecInterpreter => Evaluator::new(self.database())
-                .with_dialect(self.dialect)
-                .with_logic(self.logic)
-                .with_predicates(self.preds.clone())
-                .eval(query),
-            _ => self.engine().execute(query),
-        }
-    }
-
-    /// The `EXPLAIN` rendering for the spec interpreter, which has no
-    /// physical plan: the annotated query, pretty-printed.
-    fn spec_explain(query: &Query, dialect: Dialect) -> String {
-        format!(
-            "SpecInterpreter (no physical plan; Figures 4\u{2013}7 interpret the \
-             annotated query directly)\n{}",
-            sqlsem_parser::to_sql_pretty(query, dialect)
-        )
-    }
-
-    /// Executes one compiled statement.
+    /// Executes one compiled statement. Queries run through the
+    /// session's backend: the denotational interpreter for
+    /// [`Backend::SpecInterpreter`], [`Session::engine`] for every other
+    /// one.
     fn run(
         &mut self,
         statement: &Statement,
@@ -912,19 +722,27 @@ impl Connection {
     ) -> Result<StatementResult, SqlsemError> {
         match statement {
             Statement::Query(q) => {
-                let out = self.backend_execute(q).map_err(|e| SqlsemError::eval(e, sql, span))?;
-                Ok(StatementResult::Rows(out))
+                let out = match self.backend {
+                    Backend::SpecInterpreter => Evaluator::new(self.database())
+                        .with_dialect(self.dialect)
+                        .with_logic(self.logic)
+                        .with_predicates(self.preds.clone())
+                        .eval(q),
+                    _ => self.engine().execute(q),
+                };
+                Ok(StatementResult::Rows(out.map_err(|e| SqlsemError::eval(e, sql, span))?))
             }
-            Statement::Explain(q) => match self.backend {
-                Backend::SpecInterpreter => {
-                    Ok(StatementResult::Explained(Self::spec_explain(q, self.dialect)))
-                }
-                _ => {
-                    let text =
-                        self.engine().explain(q).map_err(|e| SqlsemError::eval(e, sql, span))?;
-                    Ok(StatementResult::Explained(text))
-                }
-            },
+            Statement::Explain(q) => {
+                let text = match self.backend {
+                    Backend::SpecInterpreter => format!(
+                        "SpecInterpreter (no physical plan; Figures 4\u{2013}7 interpret the \
+                         annotated query directly)\n{}",
+                        sqlsem_parser::to_sql_pretty(q, self.dialect)
+                    ),
+                    _ => self.engine().explain(q).map_err(|e| SqlsemError::eval(e, sql, span))?,
+                };
+                Ok(StatementResult::Explained(text))
+            }
             Statement::CreateTable { table, columns } => {
                 let op = WalOp::CreateTable { name: table.clone(), columns: columns.clone() };
                 self.apply(op, sql, span)?;
@@ -958,45 +776,25 @@ impl Connection {
         }
     }
 
-    /// Routes one mutation to wherever this connection's database
-    /// lives. Owned: apply to the private copy, then WAL-log, fsync,
-    /// and maybe checkpoint (group commit: one `fdatasync` per
-    /// statement). Shared: submit to the [`SharedDatabase`] commit
-    /// queue, block until a leader commits the batch, and refresh the
+    /// Submits one mutation to the [`SharedDatabase`] commit queue,
+    /// blocks until a leader commits the batch, and refreshes the
     /// snapshot — publish-before-deliver in the queue guarantees the
     /// refreshed snapshot contains this write.
     ///
     /// Every mutation goes through here, so this is where prepared plans
     /// are invalidated (see [`PreparedStatement`]) — even if the mutation
-    /// then fails: an owned database may already have changed when its
-    /// WAL write errors.
+    /// then fails: a batch whose fsync failed is still published.
     fn apply(&mut self, op: WalOp, sql: &str, span: Span) -> Result<(), SqlsemError> {
         self.epoch += 1;
-        match &mut self.handle {
-            DbHandle::Owned { db, storage } => {
-                op.apply(db).map_err(|e| shared::CommitError::Apply(e).into_sqlsem(sql, span))?;
-                let Some(storage) = storage.as_mut() else {
-                    return Ok(());
-                };
-                storage.log(&op).map_err(SqlsemError::storage)?;
-                storage.commit().map_err(SqlsemError::storage)?;
-                storage
-                    .maybe_checkpoint(db, DEFAULT_CHECKPOINT_THRESHOLD)
-                    .map_err(SqlsemError::storage)
-            }
-            DbHandle::Shared { shared, .. } => {
-                let cell = shared.clone();
-                cell.commit(op).map_err(|e| e.into_sqlsem(sql, span))?;
-                self.refresh();
-                Ok(())
-            }
-        }
+        self.shared.commit(op).map_err(|e| e.into_sqlsem(sql, span))?;
+        self.refresh();
+        Ok(())
     }
 
     /// `INSERT INTO table [(columns)] VALUES rows`, the pure half:
     /// reorders each value tuple into schema attribute order (filling
     /// unmentioned columns with `NULL`) without appending — the caller
-    /// appends and, for durable sessions, WAL-logs the same rows.
+    /// commits the rows as one [`WalOp::Append`].
     fn full_rows(
         &self,
         table: &Name,

@@ -21,7 +21,7 @@ impl Connection {
     ///
     /// | command | effect |
     /// |---|---|
-    /// | `d` | the schema and the indexes |
+    /// | `d` | the schema, the indexes and, when durable, the on-disk footprint |
     /// | `dialect standard\|postgresql\|oracle` | [`Connection::set_dialect`] |
     /// | `logic 3vl\|2vl\|2vl-syntactic-eq` | [`Connection::set_logic`] |
     /// | `backend spec\|naive\|optimized\|vectorized\|adaptive` | [`Connection::set_backend`] |
@@ -78,7 +78,7 @@ impl Connection {
                 Err(_) => format!("unknown thread count {arg:?}: expected an integer (0 = auto)"),
             },
             _ => format!(
-                "meta commands: \\d (schema, indexes)  \\dialect <{}>  \\logic <{}>  \
+                "meta commands: \\d (schema, indexes, storage)  \\dialect <{}>  \\logic <{}>  \
                  \\backend <{}>  \\batchsize <rows>  \\threads <n>  \
                  \\stats (server connections)  \\q (quit)",
                 spellings(&Dialect::ALL),
@@ -88,7 +88,10 @@ impl Connection {
         })
     }
 
-    /// `\d`: the schema, then the index definitions.
+    /// `\d`: the schema, then the index definitions, then — over a
+    /// durable database — each table's pages and rows in the last
+    /// checkpoint and the WAL bytes logged since. Read-only: it never
+    /// checkpoints, since any server client may send it.
     fn describe(&self) -> String {
         let schema = self.schema();
         let mut out =
@@ -102,6 +105,18 @@ impl Connection {
                 let _ = write!(out, "\n  {} ON {} ({})", def.name, def.table, cols.join(", "));
             }
         }
+        self.shared_database().read_storage(|storage| {
+            let _ = write!(out, "\nStorage ({}):", storage.dir().display());
+            for (table, _) in schema.iter() {
+                let stats = storage.table_stats(table.as_str()).unwrap_or_default();
+                let _ = write!(
+                    out,
+                    "\n  {table}: {} pages, {} rows in the last checkpoint",
+                    stats.pages, stats.rows
+                );
+            }
+            let _ = write!(out, "\n  WAL: {} bytes since the last checkpoint", storage.wal_len());
+        });
         out
     }
 }

@@ -51,13 +51,13 @@ pub(crate) enum CommitError {
 }
 
 impl CommitError {
-    /// Attaches the statement's SQL text and span, producing the same
-    /// [`SqlsemError`] the statement would raise on an owned session.
+    /// Attaches the statement's SQL text and span, producing the
+    /// [`SqlsemError`] the statement raises.
     pub(crate) fn into_sqlsem(self, sql: &str, span: sqlsem_core::Span) -> SqlsemError {
         match self {
             CommitError::Apply(ApplyError::Schema(e)) => SqlsemError::schema(e, sql, span),
             CommitError::Apply(ApplyError::Eval(e)) => SqlsemError::eval(e, sql, span),
-            CommitError::Storage(message) => SqlsemError::storage(message),
+            CommitError::Storage(message) => SqlsemError::Storage { message },
         }
     }
 }
@@ -137,9 +137,26 @@ impl SharedDatabase {
     /// Opens (creating if needed) the durable database at `dir` and
     /// shares its recovered state: every committed batch is WAL-logged
     /// and fsynced before any writer in it is acknowledged, and
-    /// reopening the directory recovers the last committed state.
+    /// reopening the directory recovers the last committed state —
+    /// checkpoint plus WAL replay, torn tail truncated. A directory that
+    /// cannot be opened or recovered is a [`SqlsemError::Storage`].
+    ///
+    /// ```no_run
+    /// use sqlsem_session::SharedDatabase;
+    ///
+    /// let dir = std::env::temp_dir().join("sqlsem-quickstart");
+    /// let mut s = SharedDatabase::open(&dir).unwrap().connect();
+    /// s.execute("CREATE TABLE R (A)").unwrap();
+    /// s.execute("INSERT INTO R VALUES (1), (2)").unwrap();
+    /// s.execute("CREATE INDEX r_a_idx ON R (A)").unwrap();
+    /// drop(s); // or crash —
+    /// let mut s = SharedDatabase::open(&dir).unwrap().connect();
+    /// let n = s.execute("SELECT COUNT(*) AS n FROM R WHERE R.A = 1").unwrap();
+    /// assert_eq!(n.rows().unwrap().len(), 1); // recovered, index and all
+    /// ```
     pub fn open(dir: impl AsRef<Path>) -> Result<SharedDatabase, SqlsemError> {
-        let (storage, db) = Storage::open(dir).map_err(SqlsemError::storage)?;
+        let (storage, db) =
+            Storage::open(dir).map_err(|e| SqlsemError::Storage { message: e.to_string() })?;
         Ok(SharedDatabase::with_parts(db, Some(storage)))
     }
 
@@ -157,10 +174,7 @@ impl SharedDatabase {
     /// [`Session::builder().with_shared(..)`](crate::SessionBuilder::with_shared)
     /// to pick a dialect, logic mode, or backend.
     pub fn connect(&self) -> Connection {
-        crate::SessionBuilder::new()
-            .with_shared(self)
-            .try_build()
-            .expect("a shared connection has no storage to open")
+        crate::SessionBuilder::new().with_shared(self).build()
     }
 
     /// The current snapshot — an immutable value; holding it pins
@@ -206,14 +220,23 @@ impl SharedDatabase {
         let mut committer = self.inner.committer.lock().expect("committer lock");
         let Committer { master, storage, .. } = &mut *committer;
         match storage.as_mut() {
-            Some(s) => s.checkpoint(master).map_err(SqlsemError::storage),
+            Some(s) => {
+                s.checkpoint(master).map_err(|e| SqlsemError::Storage { message: e.to_string() })
+            }
             None => Ok(()),
         }
     }
 
     /// `true` when the shared database is backed by durable storage.
     pub fn is_durable(&self) -> bool {
-        self.inner.committer.lock().expect("committer lock").storage.is_some()
+        self.read_storage(|_| ()).is_some()
+    }
+
+    /// Reads the durable store under the committer lock (`None` for an
+    /// in-memory database) — how `\d` reports the on-disk footprint
+    /// without checkpointing.
+    pub(crate) fn read_storage<R>(&self, read: impl FnOnce(&Storage) -> R) -> Option<R> {
+        self.inner.committer.lock().expect("committer lock").storage.as_ref().map(read)
     }
 
     /// Submits one operation to the commit queue and blocks until a

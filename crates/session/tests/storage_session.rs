@@ -1,11 +1,11 @@
-//! Integration tests for the durable storage wiring of [`Session`]:
-//! every mutating statement is WAL-logged and fsynced before it is
-//! acknowledged, so dropping a session and reopening the same directory
-//! recovers exactly the committed state — schema, rows (in order,
-//! duplicates preserved), and index definitions.
+//! Integration tests for the durable storage wiring of a
+//! [`SharedDatabase`]: every mutating statement is WAL-logged and
+//! fsynced before it is acknowledged, so dropping the database and
+//! reopening the same directory recovers exactly the committed state —
+//! schema, rows (in order, duplicates preserved), and index definitions.
 
-use sqlsem_core::{Database, Schema, Value};
-use sqlsem_session::{Session, SqlsemError, StatementResult};
+use sqlsem_core::Value;
+use sqlsem_session::{Session, SharedDatabase, SqlsemError, StatementResult};
 use sqlsem_storage::fresh_temp_dir;
 
 /// Runs `f` against a fresh storage directory and removes it afterwards
@@ -18,7 +18,7 @@ fn with_dir(tag: &str, f: impl FnOnce(&std::path::Path)) {
 }
 
 fn open(dir: &std::path::Path) -> Session {
-    Session::builder().with_storage(dir).try_build().expect("storage opens")
+    SharedDatabase::open(dir).expect("storage opens").connect()
 }
 
 #[test]
@@ -79,63 +79,14 @@ fn drop_index_is_durable_too() {
 }
 
 #[test]
-fn fresh_directory_adopts_the_seed_database() {
-    with_dir("session_fresh_seed", |dir| {
-        let schema = Schema::builder().table("T", ["X"]).build().unwrap();
-        let seed = Database::new(schema);
-        let s = Session::builder().with_database(seed).with_storage(dir).try_build().unwrap();
-        assert!(s.schema().attributes("T").is_some());
-        drop(s);
-        // The adopted seed was persisted, not just held in memory.
-        let s = open(dir);
-        assert!(s.schema().attributes("T").is_some());
-    });
-}
-
-#[test]
-fn recovered_state_wins_over_a_seed() {
-    with_dir("session_recovered_wins", |dir| {
-        let mut s = open(dir);
-        s.execute("CREATE TABLE Durable (A)").unwrap();
-        drop(s);
-
-        let schema = Schema::builder().table("Seed", ["X"]).build().unwrap();
-        let s = Session::builder()
-            .with_database(Database::new(schema))
-            .with_storage(dir)
-            .try_build()
-            .unwrap();
-        assert!(s.schema().attributes("Durable").is_some(), "durable state is kept");
-        assert!(s.schema().attributes("Seed").is_none(), "the seed is ignored");
-    });
-}
-
-#[test]
-fn cloned_sessions_detach_from_the_store() {
-    with_dir("session_clone_detaches", |dir| {
-        let mut s = open(dir);
-        s.execute("CREATE TABLE R (A)").unwrap();
-        let mut clone = s.clone();
-        assert!(s.storage().is_some());
-        assert!(clone.storage().is_none(), "one WAL has one writer");
-        // The clone keeps working in memory without touching the store.
-        clone.execute("CREATE TABLE OnlyInClone (B)").unwrap();
-        drop(clone);
-        drop(s);
-        let s = open(dir);
-        assert!(s.schema().attributes("OnlyInClone").is_none());
-    });
-}
-
-#[test]
 fn storage_failures_surface_as_storage_errors() {
     with_dir("session_bad_dir", |dir| {
         // A file where the storage directory should be: open must fail
-        // cleanly through try_build, not panic.
+        // cleanly, not panic.
         std::fs::create_dir_all(dir).unwrap();
         let file = dir.join("not_a_dir");
         std::fs::write(&file, b"occupied").unwrap();
-        let err = Session::builder().with_storage(&file).try_build().unwrap_err();
+        let err = SharedDatabase::open(&file).unwrap_err();
         assert!(matches!(err, SqlsemError::Storage { .. }), "{err}");
         assert_eq!(err.sql(), "");
     });

@@ -155,8 +155,8 @@ impl WalOp {
         }
     }
 
-    /// Applies this operation to `db`. Owned connections, the shared
-    /// commit queue and WAL replay all mutate through this one function,
+    /// Applies this operation to `db`. The shared commit queue and WAL
+    /// replay both mutate through this one function,
     /// so recovery and live execution cannot drift apart — in effect or
     /// in error verdict.
     pub fn apply(&self, db: &mut Database) -> Result<(), ApplyError> {

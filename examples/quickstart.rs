@@ -8,7 +8,7 @@
 use sqlsem::{Session, Truth};
 
 fn main() {
-    // 1. A session owns a database and speaks SQL text end to end.
+    // 1. A session holds a database and speaks SQL text end to end.
     //    Defaults: Standard dialect, three-valued logic, optimized
     //    engine backend.
     let mut session = Session::new();

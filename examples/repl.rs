@@ -29,8 +29,9 @@
 //! ```
 //!
 //! Meta commands are the ones `Session::meta_command` interprets — the
-//! same set `sqlsem-server` speaks: `\d` (schema and indexes; with
-//! `--storage DIR` also each table's on-disk page and row counts),
+//! same set `sqlsem-server` speaks, with the same replies: `\d` (schema
+//! and indexes; with `--storage DIR` also each table's pages and rows
+//! in the last checkpoint and the WAL bytes logged since),
 //! `\dialect standard|postgresql|oracle`,
 //! `\logic 3vl|2vl|2vl-syntactic-eq` (the paper's §6 modes),
 //! `\backend spec|naive|optimized|vectorized|adaptive`,
@@ -53,7 +54,7 @@
 use std::io::{self, BufRead, IsTerminal, Write};
 
 use sqlsem::server::Client;
-use sqlsem::Session;
+use sqlsem::{Session, SharedDatabase};
 
 /// The statements of the accumulated input, split at every `;` that
 /// sits *outside* a single-quoted string literal — or `None` while the
@@ -81,30 +82,6 @@ fn statements(buffer: &str) -> Option<Vec<String>> {
         }
     }
     (terminated && current.trim().is_empty()).then_some(statements)
-}
-
-/// Handles a `\…` meta command; returns `false` when the REPL should
-/// quit. The interpreter is the session's; the REPL's own share is `\d`
-/// over a durable store, which adds each table's on-disk footprint.
-fn meta_command(session: &mut Session, command: &str) -> bool {
-    let footprint = command.split_whitespace().next() == Some("d") && session.storage().is_some();
-    // Checkpoint first so the reported pages/rows reflect the current
-    // database rather than whatever the last WAL compaction captured.
-    if footprint {
-        if let Err(e) = session.checkpoint() {
-            println!("{e}");
-        }
-    }
-    let Some(reply) = session.meta_command(command) else { return false };
-    println!("{reply}");
-    if let (true, Some(storage)) = (footprint, session.storage()) {
-        println!("Storage ({}):", storage.dir().display());
-        for (table, _) in session.schema().iter() {
-            let stats = storage.table_stats(table.as_ref()).unwrap_or_default();
-            println!("  {table}: {} pages, {} rows on disk", stats.pages, stats.rows);
-        }
-    }
-    true
 }
 
 /// The read loop both modes share. A `\…` line (outside a statement) and
@@ -199,10 +176,10 @@ fn main() {
                 eprintln!("usage: repl [--storage DIR | --connect ADDR]");
                 std::process::exit(2);
             });
-            match Session::builder().with_storage(&dir).try_build() {
-                Ok(session) => {
+            match SharedDatabase::open(&dir) {
+                Ok(shared) => {
                     println!("storage: {dir}");
-                    session
+                    shared.connect()
                 }
                 Err(e) => {
                     eprintln!("{e}");
@@ -225,7 +202,9 @@ fn main() {
     }
     read_loop(|input| {
         if let Some(command) = input.strip_prefix('\\') {
-            return meta_command(&mut session, command);
+            let Some(reply) = session.meta_command(command) else { return false };
+            println!("{reply}");
+            return true;
         }
         match session.run_script(input) {
             Ok(results) => {

@@ -7,7 +7,7 @@
 //!
 //! ## The `Session` API
 //!
-//! The headline entry point is [`Session`]: a stateful object that owns
+//! The headline entry point is [`Session`]: a stateful object that holds
 //! a database and speaks SQL text end to end — DDL, DML, queries and
 //! `EXPLAIN` — under a configurable dialect (§4), logic mode (§6) and
 //! execution [`Backend`], returning a single result type and a single
@@ -51,10 +51,11 @@
 //!
 //! ## Concurrency: `SharedDatabase` and `Connection`
 //!
-//! `Session` is an alias for [`Connection`], which can also be opened
-//! over a [`SharedDatabase`] — a versioned, concurrently shared
-//! database where readers take lock-free snapshots and writers
-//! serialize through a group-commit queue:
+//! `Session` is an alias for [`Connection`], which always reads and
+//! writes through a [`SharedDatabase`] — a versioned, concurrently
+//! shared database where readers take lock-free snapshots and writers
+//! serialize through a group-commit queue. `Session::new()` makes a
+//! fresh in-memory one; several connections can share one:
 //!
 //! ```
 //! use sqlsem::SharedDatabase;
@@ -84,7 +85,7 @@
 //!   the PostgreSQL/Oracle validation oracles of §4;
 //! * [`storage`] — the durable storage engine: paged checkpoint files,
 //!   a checksummed write-ahead log with crash recovery — the store
-//!   behind [`SessionBuilder::with_storage`] and [`SharedDatabase::open`];
+//!   behind [`SharedDatabase::open`];
 //! * [`algebra`] — bag relational algebra, SQL-RA, and the provably
 //!   correct SQL → RA translation of §5 (Theorem 1);
 //! * [`twovl`] — the Figure 10 translations eliminating three-valued

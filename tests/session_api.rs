@@ -241,14 +241,14 @@ fn prepared_plans_do_not_outlive_the_data_that_justified_them() {
     // range scan may serve it. One string later the comparison raises,
     // and a plan cached before the INSERT must not keep answering — on
     // every backend the prepared verdict is the fresh verdict, whether
-    // the connection owns its database or shares it.
+    // the connection made its database or joined an existing one.
     let script = "CREATE TABLE R (A); INSERT INTO R VALUES (1), (2), (9); \
                   CREATE INDEX r_a ON R (A);";
     let sql = "SELECT R.A FROM R WHERE R.A < 5";
     for backend in Backend::ALL {
         let shared = sqlsem::session::SharedDatabase::in_memory();
         let connections = [
-            ("owned", Session::builder().with_backend(backend).build()),
+            ("fresh", Session::builder().with_backend(backend).build()),
             ("shared", Session::builder().with_backend(backend).with_shared(&shared).build()),
         ];
         for (kind, mut s) in connections {
@@ -285,9 +285,9 @@ fn prepared_statements_do_not_leak_across_sessions() {
     let on_b = b.execute_prepared(&mut stmt).unwrap();
     assert!(on_b.rows().unwrap().coincides(&table! { ["B"]; [1] }), "{on_b}");
 
-    // A cloned session gets a fresh identity too: diverging DDL on the
-    // clone must not be hidden by a coinciding epoch.
-    let mut c = a.clone();
+    // A forked session gets a fresh identity too: diverging DDL on the
+    // fork must not be hidden by a coinciding epoch.
+    let mut c = a.fork();
     c.execute("DROP TABLE R").unwrap();
     c.execute("CREATE TABLE R (B)").unwrap();
     c.execute("INSERT INTO R VALUES (9)").unwrap();
@@ -297,27 +297,45 @@ fn prepared_statements_do_not_leak_across_sessions() {
 }
 
 #[test]
-fn owned_clone_keeps_fork_semantics_and_fork_spells_them_out() {
-    // The deprecated-shim contract: on an *owned* session `clone` still
-    // means what it always did — an independent divergent copy — and
-    // `fork` is the explicit spelling of the same operation. (On a
-    // shared-database connection `clone` instead means "one more
-    // caller"; see tests/concurrency.rs.)
-    let mut original = Session::new();
-    original.run_script("CREATE TABLE R (A); INSERT INTO R VALUES (1)").unwrap();
+fn clone_is_one_more_caller_and_fork_is_the_only_copy() {
+    let count = |s: &mut Session| s.execute("SELECT COUNT(*) AS n FROM R").unwrap().to_string();
+    let schema = sqlsem::Schema::builder().table("R", ["A"]).build().unwrap();
+    let builder = Session::builder().with_database(sqlsem::Database::new(schema));
 
+    // A `with_database` connection and its clone are two callers of one
+    // database: each sees the other's writes.
+    let mut original = builder.clone().build();
     let mut cloned = original.clone();
-    let mut forked = original.fork();
-    for copy in [&mut cloned, &mut forked] {
-        copy.execute("INSERT INTO R VALUES (2)").unwrap();
-        copy.execute("CREATE TABLE ONLY_IN_COPY (X)").unwrap();
-        let out = copy.execute("SELECT R.A FROM R").unwrap();
-        assert!(out.rows().unwrap().coincides(&table! { ["A"]; [1], [2] }));
-    }
-    // The original never observes either copy's divergence.
+    original.execute("INSERT INTO R VALUES (1)").unwrap();
+    assert_eq!(count(&mut cloned), count(&mut original));
+    cloned.execute("INSERT INTO R VALUES (2)").unwrap();
     let out = original.execute("SELECT R.A FROM R").unwrap();
-    assert!(out.rows().unwrap().coincides(&table! { ["A"]; [1] }));
-    assert!(original.execute("SELECT * FROM ONLY_IN_COPY").is_err());
+    assert!(out.rows().unwrap().coincides(&table! { ["A"]; [1], [2] }), "{out}");
+
+    // A pinned snapshot holds one caller's reads while the other inserts.
+    original.pin_snapshot();
+    let (pinned, version) = (count(&mut original), original.snapshot_version());
+    cloned.execute("INSERT INTO R VALUES (3)").unwrap();
+    assert_eq!(count(&mut original), pinned);
+    assert_eq!(original.snapshot_version(), version);
+    original.unpin_snapshot();
+    assert_eq!(count(&mut original), count(&mut cloned));
+    assert!(original.snapshot_version() > version);
+
+    // `fork` is the one divergent copy.
+    let mut forked = original.fork();
+    forked.run_script("INSERT INTO R VALUES (4); CREATE TABLE ONLY_IN_FORK (X)").unwrap();
+    let out = forked.execute("SELECT R.A FROM R").unwrap();
+    assert!(out.rows().unwrap().coincides(&table! { ["A"]; [1], [2], [3], [4] }), "{out}");
+    let out = original.execute("SELECT R.A FROM R").unwrap();
+    assert!(out.rows().unwrap().coincides(&table! { ["A"]; [1], [2], [3] }), "{out}");
+    assert!(original.execute("SELECT * FROM ONLY_IN_FORK").is_err());
+
+    // Two builds from one builder are two databases, not two callers.
+    let (mut first, mut second) = (builder.clone().build(), builder.build());
+    first.execute("INSERT INTO R VALUES (5)").unwrap();
+    let out = second.execute("SELECT R.A FROM R").unwrap();
+    assert!(out.rows().unwrap().is_empty(), "{out}");
 }
 
 #[test]
